@@ -29,8 +29,8 @@ from .geometry import Loop, bloch_solid_angle, loop_distance, summarize
 from .inequalities import (plane_check, sphere_check, strong_qii, tol_for,
                            weak_qii)
 from .loops import (bloch_circle, fourier_loop, great_circle, load_loop,
-                    random_fourier_spec, save_loop, spherical_polygon,
-                    split_self_intersections)
+                    min_resolution, random_fourier_spec, save_loop,
+                    spherical_polygon, split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, creutz, dirac,
                      fermi_surface_loop, model_from_json, rhombohedral, ssh)
 from .search import SearchConfig, minimize_margin
@@ -128,8 +128,6 @@ def run_weak_suite(m, n_loops, k, n, seed, strong=False, workers=1):
 
 
 def _cmd_verify(args) -> int:
-    if args.m < 2:
-        raise _UsageError("a single-band Hilbert space is a point; need --m >= 2")
     out = _prepare_outdir(args, "verify")
     rows = run_weak_suite(args.m, args.loops, args.k, args.n, args.seed,
                           strong=args.strong, workers=_worker_count())
@@ -322,8 +320,6 @@ def _search_record(cfg, result) -> dict:
 
 
 def _cmd_search(args) -> int:
-    if args.m < 2:
-        raise _UsageError("need --m >= 2")
     out = _prepare_outdir(args, "search")
     # a seed list runs one search per seed (the resume path: add seeds to
     # extend an earlier campaign); merging keeps the worst margin
@@ -494,6 +490,21 @@ def build_parser():
     return parser, by_name
 
 
+def _check_args(args):
+    """Usage checks on parsed values, so flags and --config defaults both pass them."""
+    if args.command not in ("verify", "search"):
+        return
+    if args.m < 2:
+        raise _UsageError("a single-band Hilbert space is a point; need --m >= 2")
+    if args.command == "verify" and args.loops < 1:
+        raise _UsageError(f"need --loops >= 1, got {args.loops}")
+    if args.k < 0:
+        raise _UsageError(f"need --k >= 0, got {args.k}")
+    if args.n < min_resolution(args.k):
+        raise _UsageError(f"--n {args.n} under-resolves harmonics up to --k {args.k}; "
+                          f"need --n >= {min_resolution(args.k)}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
@@ -501,7 +512,12 @@ def main(argv=None) -> int:
         command = next((tok for tok in argv if not tok.startswith("-")), None)
         if "--config" in argv:
             cfg_path = argv[argv.index("--config") + 1]
-            defaults = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+            try:
+                defaults = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise _UsageError(f"cannot read --config {cfg_path}: {exc}") from None
+            if not isinstance(defaults, dict):
+                raise _UsageError("--config must hold a JSON object")
             if command in by_name:
                 valid = {a.dest for a in by_name[command]._actions}
                 unknown = set(defaults) - valid
@@ -509,6 +525,7 @@ def main(argv=None) -> int:
                     raise _UsageError(f"unknown config keys: {sorted(unknown)}")
                 by_name[command].set_defaults(**defaults)
         args = parser.parse_args(argv)
+        _check_args(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -55,7 +55,7 @@ class Loop:
         if arr.shape[0] < 3:
             raise IllConditionedSegment("a loop needs at least 3 states")
         norms = np.linalg.norm(arr, axis=1)
-        if np.abs(norms - 1.0).max() > TOL.norm:
+        if not np.all(np.abs(norms - 1.0) <= TOL.norm):   # nan rows fail too
             raise ValueError("loop states must be normalized")
         ovl = np.abs(_cyclic_overlaps(arr))
         if ovl.min() <= TOL.segment_overlap:

@@ -11,13 +11,13 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TOL
-from .errors import (BadResolution, DegenerateSpec, IllConditionedSegment,
-                     OutOfRange)
+from .errors import (BadResolution, DegenerateSpec, EmptyInput,
+                     IllConditionedSegment, OutOfRange, ZeroVector)
 from .geometry import Loop, _cyclic_overlaps
 
 __all__ = [
-    "FourierLoopSpec", "bloch_circle", "bloch_states", "great_circle",
-    "spherical_polygon", "fourier_loop", "random_fourier_spec",
+    "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
+    "great_circle", "spherical_polygon", "fourier_loop", "random_fourier_spec",
     "perturb_circle", "refine", "split_self_intersections",
     "save_loop", "load_loop",
 ]
@@ -91,6 +91,11 @@ def spherical_polygon(n_vertices: int, theta: float, n_per_edge: int) -> Loop:
     return Loop(_vectors_to_states(np.concatenate(pieces, axis=0)))
 
 
+def min_resolution(k: int) -> int:
+    """Fewest samples that resolve Fourier harmonics up to k."""
+    return 8 * (k + 1)
+
+
 @dataclass(frozen=True)
 class FourierLoopSpec:
     """Loop z_i(t) = sum_m c_{i,m} e^{i m t} in the (1, z) chart of CP^{M-1}.
@@ -113,7 +118,7 @@ class FourierLoopSpec:
         if coeffs.shape != (self.m_dim - 1, 2 * self.k + 1):
             raise OutOfRange(
                 f"coeffs shape {coeffs.shape} != {(self.m_dim - 1, 2 * self.k + 1)}")
-        if self.n < 8 * (self.k + 1):
+        if self.n < min_resolution(self.k):
             raise BadResolution(f"n = {self.n} under-resolves harmonics up to {self.k}")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
@@ -199,43 +204,135 @@ def refine(loop: Loop, factor: int) -> Loop:
     return Loop(flat / np.linalg.norm(flat, axis=1, keepdims=True))
 
 
-@lru_cache(maxsize=16)
-def _pair_mask(n: int) -> np.ndarray:
-    # upper triangle k >= j+2, minus the cyclically adjacent corner
-    mask = np.triu(np.ones((n, n), dtype=bool), k=2)
-    mask[0, n - 1] = False
-    mask.setflags(write=False)
-    return mask
+_KEY_SEED = 20250320      # fixed, so the candidate sets are reproducible
+_PAIR_CHUNK = 1 << 20     # candidate pairs tested per block
+
+
+def _key_matrix(m: int) -> np.ndarray:
+    """Fixed-seed random Hermitian m x m matrix of unit Frobenius norm."""
+    rng = np.random.default_rng(_KEY_SEED)
+    h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    a = h + h.conj().T
+    return a / np.linalg.norm(a)
+
+
+_KEYS = {m: _key_matrix(m) for m in range(2, 9)}   # skips the rng on each call
 
 
 def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     """Index pairs (j, k), k > j+1 and not cyclically adjacent, whose
-    projective distance is below tol, in row-major order."""
-    n = states.shape[0]
-    gram = np.abs(states @ states.conj().T)
-    close = (gram >= np.cos(tol)) & _pair_mask(n)
-    if not close.any():
+    projective distance is below tol, in row-major order.
+
+    Sweep and prune on a gauge-invariant key: state x gets
+    key(x) = tr(A P_x) with P_x = |x><x| / <x|x> and A a fixed random
+    Hermitian matrix, ||A||_F = 1.  Then
+    |key(a) - key(b)| <= ||P_a - P_b||_F = sqrt(2) sin d(a, b), so every
+    pair with |<a|b>| >= cos(tol) lies within a window of width
+    sqrt(2) sin(tol), widened for the rounding of the inputs.  Only the
+    pairs inside the window of the sorted keys get the exact overlap test.
+    """
+    n, m = states.shape
+    a_key = _KEYS[m] if m in _KEYS else _key_matrix(m)
+    sq = np.einsum("ij,ij->i", states.conj(), states).real
+    key = np.einsum("ij,ij->i", states.conj(), states @ a_key.T).real / sq
+    cos_tol = np.cos(tol)
+    eps = np.finfo(float).eps
+    # a computed |<a|b>| >= cos(tol) bounds the true cos d below by c
+    c = min(1.0, (cos_tol - 16 * m * eps) / sq.max())
+    sin_d = np.sqrt((1.0 - c) * (1.0 + c)) if c > 0.0 else 1.0
+    width = np.sqrt(2.0) * sin_d + 32 * m * m * eps
+    order = np.argsort(key)
+    ranked = key[order]
+    counts = np.searchsorted(ranked, ranked + width, side="right") - np.arange(1, n + 1)
+    lows = np.flatnonzero(counts)
+    if lows.size == 0:
         return np.empty((0, 2), dtype=np.intp)
-    return np.argwhere(close)
+    counts = counts[lows]
+    ends = np.cumsum(counts)
+    codes = []
+    first = 0
+    while first < lows.size:
+        done = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        cnt = counts[first:last]
+        low = np.repeat(lows[first:last], cnt)
+        high = low + 1 + np.arange(low.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        x, y = order[low], order[high]
+        j, k = np.minimum(x, y), np.maximum(x, y)
+        keep = (k - j >= 2) & ((j != 0) | (k != n - 1))
+        j, k = j[keep], k[keep]
+        close = np.abs(np.einsum("ij,ij->i", states[j], states[k].conj())) >= cos_tol
+        codes.append(j[close].astype(np.int64) * n + k[close])
+        first = last
+    codes = np.sort(np.concatenate(codes))   # j*n + k: row-major order
+    pairs = np.empty((codes.size, 2), dtype=np.intp)
+    np.divmod(codes, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _first_split(members: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 lo: int, hi: int):
+    """First pair in positions [lo, hi) of the global pair list that splits
+    the piece `members` into two pieces of at least 3 states each.
+
+    Returns (position, local j, local k), or None.  Scans in growing
+    blocks, so the cost follows the distance to the first hit.
+    """
+    size = members.size
+    block = 64
+    while lo < hi:
+        stop = min(hi, lo + block)
+        r, c = rows[lo:stop], cols[lo:stop]
+        j = np.searchsorted(members, r)
+        k = np.searchsorted(members, c)
+        # r < c, so k == size whenever j == size: c lies past the piece
+        inside = k < size
+        inside[inside] = (members[j[inside]] == r[inside]) & (members[k[inside]] == c[inside])
+        gap = k - j
+        ok = inside & (gap >= 3) & (size - gap >= 3)
+        if ok.any():
+            i = int(ok.argmax())
+            return lo + i, int(j[i]), int(k[i])
+        lo = stop
+        block *= 2
+    return None
 
 
 def _split_states(states: np.ndarray, tol: float, out: list):
+    """Append the simple sub-loops of `states` to `out`.
+
+    Greedy: a piece is cut at its first coincident pair (j, k) in row-major
+    order whose two pieces keep at least 3 states each, into the cut piece
+    [j, k) and the remainder [:j] + [k:], the cut piece first.  The pairs
+    are found once; each piece is an increasing array of original indices
+    and sees the global pairs of its members under its own adjacency and
+    size rules.  Pairs ahead of a chosen pair stay unusable in both pieces,
+    so the remainder resumes at the cut's end row and the cut piece scans
+    only the rows [j, k) after the chosen pair.
+    """
     n = states.shape[0]
-    for j, k in _coincidence_pairs(states, tol):
-        j, k = int(j), int(k)
-        # skip pairs whose split would leave a piece of fewer than 3 states
-        if k - j >= 3 and n - (k - j) >= 3:
-            _split_states(states[j:k], tol, out)
-            _split_states(np.concatenate([states[:j], states[k:]]), tol, out)
-            return
-    out.append(states)
+    pairs = _coincidence_pairs(states, tol)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    # (members, first pair position, end position); LIFO keeps the cut piece first
+    stack = [(np.arange(n), 0, rows.size)]
+    while stack:
+        members, lo, hi = stack.pop()
+        hit = _first_split(members, rows, cols, lo, hi)
+        if hit is None:
+            out.append(states if members.size == n else states[members])
+            continue
+        at, j, k = hit
+        mid = int(np.searchsorted(rows, members[k], side="left"))
+        stack.append((np.concatenate([members[:j], members[k:]]), mid, hi))
+        stack.append((members[j:k], at + 1, mid))
 
 
 def split_self_intersections(loop: Loop, tol: float = TOL.split) -> list[Loop]:
     """Break a self-intersecting loop into simple sub-loops.
 
-    Splits greedily at the first coincident index pair and recurses; the
-    concatenation of the returned sub-loops retraces the original loop.
+    Splits greedily at the first coincident index pair, then splits the
+    pieces the same way; the returned sub-loops together retrace the
+    original loop.
     Returns [loop] unchanged when no coincidence is found.
     """
     if tol <= 0:
@@ -278,7 +375,12 @@ def load_loop(path) -> tuple[Loop, dict]:
         meta = json.loads(first[1:].strip())
         fh.readline()  # column names
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise EmptyInput(f"{path}: loop file has no data rows")
     data = np.array([[float(x) for x in row[1:]] for row in rows])
     states = data[:, 0::2] + 1j * data[:, 1::2]
-    states = states / np.linalg.norm(states, axis=1, keepdims=True)
+    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > TOL.zero_vector)):
+        raise ZeroVector(f"{path}: a row has zero or non-finite amplitudes")
+    states = states / norms
     return Loop(states), meta

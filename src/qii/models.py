@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import TOL
 from .core import eigh, gauge_fix
-from .errors import (DegenerateAtTolerance, OutOfRange, SingularAtDiracPoint,
-                     WrongDimension)
+from .errors import (DegenerateAtTolerance, EmptyInput, OutOfRange,
+                     SingularAtDiracPoint, WrongDimension)
 from .geometry import PAULI, Chart, Loop
 
 __all__ = [
@@ -112,25 +112,35 @@ def model_from_json(obj) -> ModelSpec:
     """Build a spec from {kind, parameters, lattice_const} (dict or JSON text)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise OutOfRange("model config must be a JSON object with a string 'kind'")
     kind = obj["kind"]
     params = obj.get("parameters", {})
-    a = float(obj.get("lattice_const", 1.0))
+    if not isinstance(params, dict):
+        raise OutOfRange("model 'parameters' must be a JSON object")
     builders = {
-        "ssh": lambda: ssh(params["v"], params["w"], a),
-        "creutz": lambda: creutz(params["t"], a),
-        "rhombohedral": lambda: rhombohedral(params["n_layers"],
-                                             params.get("scale", 1.0), a),
-        "dirac": lambda: dirac(params.get("v_f", 1.0)),
+        "ssh": lambda a: ssh(params["v"], params["w"], a),
+        "creutz": lambda a: creutz(params["t"], a),
+        "rhombohedral": lambda a: rhombohedral(params["n_layers"],
+                                               params.get("scale", 1.0), a),
+        "dirac": lambda a: dirac(params.get("v_f", 1.0)),
     }
     if kind not in builders:
         raise OutOfRange(f"unknown model kind {kind!r} in config")
-    return builders[kind]()
+    try:
+        return builders[kind](float(obj.get("lattice_const", 1.0)))
+    except KeyError as exc:
+        raise OutOfRange(f"model {kind!r} needs parameter {exc.args[0]!r}") from None
+    except TypeError as exc:   # a parameter that is not a number
+        raise OutOfRange(f"model {kind!r}: {exc}") from None
 
 
 def bloch_table_from_csv(path, a: float = 1.0) -> ModelSpec:
     """Read a (k, nx, ny, nz) table written with a header row."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r]
+    if len(rows) < 2:
+        raise EmptyInput(f"{path}: Bloch table has no data rows")
     data = np.array([[float(x) for x in r] for r in rows[1:]])
     return bloch_table(data[:, 0], data[:, 1:4], a)
 

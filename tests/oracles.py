@@ -97,3 +97,28 @@ def unwrapped_winding_metric_integral(phi_values, dk) -> float:
     phi = np.unwrap(np.asarray(phi_values, dtype=float))
     dphi = np.gradient(phi, dk)
     return float(np.sum(dphi**2) * dk / 4.0)
+
+
+def gram_coincidence_pairs(states, tol) -> np.ndarray:
+    """Coincident index pairs from the full n x n Gram matrix.
+
+    Pairs (j, k) with k >= j+2, minus the cyclic corner (0, n-1), whose
+    overlap modulus is at least cos(tol), in row-major order.
+    """
+    n = states.shape[0]
+    gram = np.abs(states @ states.conj().T)
+    mask = np.triu(np.ones((n, n), dtype=bool), k=2)
+    mask[0, n - 1] = False
+    return np.argwhere((gram >= np.cos(tol)) & mask)
+
+
+def gram_split(states, tol) -> list:
+    """Recursive greedy split: cut at the first pair (j, k) that leaves two
+    pieces of at least 3 states, re-Gram both pieces, cut piece first."""
+    n = states.shape[0]
+    for j, k in gram_coincidence_pairs(states, tol):
+        j, k = int(j), int(k)
+        if k - j >= 3 and n - (k - j) >= 3:
+            return (gram_split(states[j:k], tol)
+                    + gram_split(np.concatenate([states[:j], states[k:]]), tol))
+    return [states]

@@ -275,6 +275,73 @@ def test_loop_io_import_missing_file(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+# --- malformed inputs and usage errors ---
+
+def _loop_csv_without_rows(path):
+    path.write_text('# {"m": 2, "n": 0}\nindex,re_0,im_0,re_1,im_1\n')
+    return ["loop-io", "import", str(path)]
+
+
+def _loop_csv_with_zero_row(path):
+    path.write_text('# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1,im_1\n'
+                    "0,1,0,0,0\n1,0,0,0,0\n2,0,0,1,0\n")
+    return ["loop-io", "import", str(path)]
+
+
+def _table_csv_without_rows(path):
+    path.write_text("k,nx,ny,nz\n")
+    return ["models", "--table-csv", str(path)]
+
+
+def _model_json(text):
+    def argv(path):
+        path.write_text(text)
+        return ["models", "--model-json", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_loop_csv_without_rows, "no data rows"),
+    (_loop_csv_with_zero_row, "zero or non-finite"),
+    (_table_csv_without_rows, "no data rows"),
+    (_model_json('{"kind": "ssh", "parameters": {}}'), "'v'"),
+    (_model_json('{"kind": "rhombohedral"}'), "'n_layers'"),
+    (_model_json('{"parameters": {"t": 1.0}}'), "'kind'"),
+    (_model_json('["ssh"]'), "object"),
+])
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, message):
+    argv = make_argv(tmp_path / "input") + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "3", "--loops", "0"],
+    ["verify", "--m", "3", "--n", "16"],
+    ["search", "--m", "3", "--n", "16"],
+    ["search", "--m", "3", "--k", "-1"],
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ['{"loops": 0}', '{"m": ', '["m", 3]', None])
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:  # None: the file does not exist
+        cfg.write_text(text)
+    assert main(["verify", "--m", "3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 # --- misc ---
 
 def test_help_exits_zero():

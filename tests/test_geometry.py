@@ -33,6 +33,12 @@ def test_loop_rejects_orthogonal_neighbors():
         Loop(states)
 
 
+def test_loop_rejects_nan_states():
+    states = np.array([[1, 0], [np.nan, 0], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="normalized"):
+        Loop(states)
+
+
 def test_loop_states_read_only():
     loop = bloch_circle(1.0, 8)
     with pytest.raises(ValueError):

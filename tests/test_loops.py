@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import cap_area, cap_perimeter, spherical_polygon_perimeter
-from qii.errors import BadResolution, OutOfRange
+from oracles import (cap_area, cap_perimeter, gram_coincidence_pairs,
+                     gram_split, spherical_polygon_perimeter)
+from qii.config import TOL
+from qii.errors import BadResolution, DegenerateSpec, EmptyInput, OutOfRange
 from qii.geometry import (Loop, bloch_solid_angle, loop_berry_phase,
                           loop_distance, summarize)
-from qii.loops import (FourierLoopSpec, bloch_circle, bloch_states,
-                       fourier_loop, great_circle, load_loop, perturb_circle,
-                       random_fourier_spec, refine, save_loop,
+from qii.loops import (FourierLoopSpec, _coincidence_pairs, bloch_circle,
+                       bloch_states, fourier_loop, great_circle, load_loop,
+                       perturb_circle, random_fourier_spec, refine, save_loop,
                        spherical_polygon, split_self_intersections)
+from qii.models import fermi_surface_loop, rhombohedral
 
 
 def _figure_eight(rho=np.pi / 5, n=512):
@@ -240,6 +245,65 @@ def test_split_figure_eight_opposite_phases():
     assert omegas[1] == pytest.approx(2 * cap, abs=2e-3)
 
 
+def _assert_matches_gram(states, tol=TOL.split):
+    np.testing.assert_array_equal(_coincidence_pairs(states, tol),
+                                  gram_coincidence_pairs(states, tol))
+    want = gram_split(states, tol)
+    got = split_self_intersections(Loop(states), tol)
+    assert len(got) == len(want)
+    for part, ref in zip(got, want):
+        np.testing.assert_array_equal(part.states, ref)
+
+
+@pytest.mark.parametrize("tol", [TOL.split, 0.05, 0.2])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_split_matches_gram_oracle_fourier(m, tol):
+    checked = 0
+    for i in range(20):
+        rng = np.random.default_rng([m, i])
+        try:
+            loop = fourier_loop(random_fourier_spec(m, int(rng.integers(1, 5)), 256, rng))
+        except DegenerateSpec:
+            continue
+        _assert_matches_gram(loop.states, tol)
+        checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("turns", [2, 3, 5, 8, 13, 21, 32])
+def test_split_matches_gram_oracle_great_circles(turns):
+    axis = np.random.default_rng(turns).normal(size=3)
+    for per_turn in (8, 16, 64):
+        _assert_matches_gram(great_circle(axis, per_turn * turns, turns=turns).states)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])
+def test_split_matches_gram_oracle_fermi_surface(n_layers):
+    for nk in (128, 512):
+        loop, _ = fermi_surface_loop(rhombohedral(n_layers), 1.3, nk)
+        _assert_matches_gram(loop.states)
+
+
+def test_split_thousand_turns_iteratively():
+    loop = great_circle([0.3, -1.0, 2.0], 16 * 1000, turns=1000)
+    parts = split_self_intersections(loop)
+    assert len(parts) == 1000
+    total = sum(summarize(p).d_fs for p in parts)
+    assert total == pytest.approx(1000 * np.pi, abs=1e-5)
+
+
+def test_split_memory_is_linear_in_n():
+    loop = great_circle([1.0, 2.0, 3.0], 1 << 15)
+    tracemalloc.start()
+    try:
+        parts = split_self_intersections(loop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parts == [loop]
+    assert peak < 64 << 20  # an n x n boolean mask alone would take 1 GiB
+
+
 # --- serialization ---
 
 def test_loop_csv_roundtrip(tmp_path):
@@ -252,3 +316,12 @@ def test_loop_csv_roundtrip(tmp_path):
     assert meta["parameters"] == {"k": 2}
     assert meta["seed"] == 123
     np.testing.assert_allclose(loaded.states, loop.states, atol=1e-15)
+
+
+def test_load_loop_without_rows(tmp_path):
+    path = tmp_path / "loop.csv"
+    save_loop(path, bloch_circle(1.0, 8))
+    header = path.read_text().splitlines()[:2]
+    path.write_text("\n".join(header) + "\n")
+    with pytest.raises(EmptyInput):
+        load_loop(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qii.errors import (DegenerateAtTolerance, OutOfRange,
+from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange,
                         SingularAtDiracPoint, WrongDimension)
 from qii.geometry import (PAULI, bloch_vectors, loop_berry_phase,
                           loop_distance, qgt_at, summarize)
@@ -171,6 +171,28 @@ def test_model_from_json_roundtrip():
     spec = model_from_json({"kind": "rhombohedral",
                             "parameters": {"n_layers": 2}, "lattice_const": 0.5})
     assert spec.params["n_layers"] == 2 and spec.a == 0.5
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ('{"kind": "ssh", "parameters": {}}', "'v'"),
+    ('{"kind": "ssh", "parameters": {"v": 1.0}}', "'w'"),
+    ('{"kind": "creutz"}', "'t'"),
+    ('{"kind": "rhombohedral", "parameters": {"scale": 2.0}}', "'n_layers'"),
+    ('{"parameters": {"v": 1.0, "w": 2.0}}', "'kind'"),
+    ('[1, 2]', "object"),
+    ('{"kind": "ssh", "parameters": {"v": [1], "w": 1}}', "'ssh'"),
+    ('{"kind": "dirac", "lattice_const": {}}', "'dirac'"),
+])
+def test_model_from_json_malformed(doc, needle):
+    with pytest.raises(OutOfRange, match=needle):
+        model_from_json(doc)
+
+
+def test_bloch_table_from_csv_without_rows(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("k,nx,ny,nz\n")
+    with pytest.raises(EmptyInput):
+        bloch_table_from_csv(path)
 
 
 def test_bloch_table_matches_ssh(tmp_path):
