@@ -24,9 +24,9 @@ from .inequalities import (IneqReport, aggregate_subloops, plane_check,
 from .loops import (FourierLoopSpec, bloch_circle, fourier_loop, great_circle,
                     load_loop, perturb_circle, random_fourier_spec, refine,
                     save_loop, spherical_polygon, split_self_intersections)
-from .models import (ModelSpec, band_chart, band_state, bloch_table,
-                     bloch_table_from_csv, bz_loop, creutz, dirac,
-                     dirac_metric, fermi_surface_loop, fourier_bloch,
-                     hamiltonian, model_from_json, rhombohedral, ssh)
+from .models import (ModelSpec, band_chart, band_state, band_states, bloch,
+                     bloch_table, bloch_table_from_csv, bz_grid, bz_loop, creutz,
+                     dirac, dirac_metric, fermi_surface_loop, fourier_bloch,
+                     hamiltonian, metric_grid, model_from_json, rhombohedral, ssh)
 from .search import (SearchConfig, SearchResult, extremality_scan,
                      minimize_margin, qii_objective)

@@ -13,9 +13,11 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-from .geometry import Loop, aggregate_summary, qgt_at, segment_distance, summarize
-from .models import (ModelSpec, band_chart, bz_loop, fermi_surface_loop,
-                     fourier_bloch, hamiltonian)
+# the chains do not call qgt_at; it stays bound here because bench/run.py
+# traces applications.qgt_at as a layer
+from .geometry import Loop, aggregate_summary, qgt_at, segment_distance, summarize  # noqa: F401
+from .models import (ModelSpec, bloch, bz_grid, bz_loop, fermi_surface_loop,
+                     fourier_bloch, metric_grid)
 from .loops import split_self_intersections
 
 __all__ = [
@@ -78,11 +80,6 @@ class SpeedLimitReport:
         return float(v[0] - v[1])
 
 
-def _trace_g_grid(spec: ModelSpec, band: str, points) -> np.ndarray:
-    chart = band_chart(spec, band)
-    return np.array([qgt_at(chart, p, richardson=False).trace_g for p in points])
-
-
 def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> float:
     """Gauge-invariant Wannier spread: (a / 2 pi) * integral of Tr g over the BZ.
 
@@ -91,8 +88,7 @@ def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> floa
     """
     if spec.dim_k != 1:
         raise OutOfRange("the Wannier chain is implemented for 1D models")
-    ks = 2.0 * np.pi * np.arange(n_k) / (n_k * spec.a)
-    return float(np.mean(_trace_g_grid(spec, band, [[k] for k in ks])))
+    return float(np.mean(metric_grid(spec, band, bz_grid(spec, n_k))[:, 0, 0]))
 
 
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
@@ -115,6 +111,8 @@ def evolve(h_of_t, psi0, duration: float, steps: int) -> Trajectory:
     drift beyond the tolerance raises NormDrift.  Delta E(t) and the
     accumulated Fubini-Study length are recorded at every step.
     """
+    if steps < 1:
+        raise OutOfRange(f"need at least one integration step, got {steps}")
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     dt = duration / steps
@@ -193,6 +191,8 @@ def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0
     """
     if not 0.0 < theta_c < np.pi / 2:
         raise OutOfRange("cone angle must lie in (0, pi/2)")
+    if not ratio > 0.0:
+        raise OutOfRange(f"period ratio must be positive, got {ratio}")
     omega_d = omega0 / ratio
 
     def h_of_t(t):
@@ -226,17 +226,10 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     n_eff = loop.n
     k_f = l_fs / (2.0 * np.pi)
     alphas = 2.0 * np.pi * np.arange(n_eff) / n_eff
-    chart = band_chart(spec, "upper")
-    trace_int = 0.0
-    tangential_int = 0.0
-    for al in alphas:
-        k = k_f * np.array([np.cos(al), np.sin(al)])
-        g = qgt_at(chart, k, richardson=False).g
-        that = np.array([-np.sin(al), np.cos(al)])
-        trace_int += np.trace(g)
-        tangential_int += that @ g @ that
-    trace_int *= l_fs / n_eff
-    tangential_int *= l_fs / n_eff
+    g = metric_grid(spec, "upper", k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1))
+    that = np.stack([-np.sin(alphas), np.cos(alphas)], axis=1)
+    trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
+    tangential_int = np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff
     agg = aggregate_summary([summarize(p) for p in split_self_intersections(loop)])
     return BoundChain(entries=(
         ("int_FS Tr[g] dsigma", float(trace_int)),
@@ -244,13 +237,6 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
         ("d_fs^2/l_fs", agg.d_fs**2 / l_fs),
         ("gamma_b^2/l_fs", agg.gamma_total**2 / l_fs),
     ), unit="length", notes=(spec.describe(), f"E_F={e_f}"))
-
-
-def _band_is_flat(spec: ModelSpec, n_k: int = 64) -> bool:
-    ks = 2.0 * np.pi * np.arange(n_k) / (n_k * spec.a)
-    upper = np.array([np.linalg.eigvalsh(hamiltonian(spec, k))[1] for k in ks])
-    scale = max(np.abs(upper).max(), 1e-30)
-    return (upper.max() - upper.min()) <= 1e-9 * scale
 
 
 def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
@@ -273,11 +259,10 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
         return BoundChain(entries=(
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
-    if not _band_is_flat(spec):
+    upper = np.linalg.norm(bloch(spec, bz_grid(spec, 64)), axis=1)   # E_+ = |n(k)|
+    if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
-    ks = 2.0 * np.pi * np.arange(n_k) / (n_k * spec.a)
-    integral = float(np.mean(_trace_g_grid(spec, "lower", [[k] for k in ks]))
-                     * 2.0 * np.pi / spec.a)
+    integral = wannier_omega1(spec, "lower", n_k) * 2.0 * np.pi / spec.a
     s = summarize(bz_loop(spec, "lower", n_k))
     factor = u * nu * (1.0 - nu)
     d_s = factor / (np.pi**2 * m_bands) * integral
@@ -305,8 +290,6 @@ def random_gapped_bloch_spec(rng, n_harmonics: int = 2, gap_ratio: float = 0.25,
         cosc = rng.normal(size=(n_harmonics, 3)) / np.arange(1, n_harmonics + 1)[:, None]
         sinc = rng.normal(size=(n_harmonics, 3)) / np.arange(1, n_harmonics + 1)[:, None]
         spec = fourier_bloch(const, cosc, sinc, a)
-        norms = np.array([np.linalg.norm(
-            sum((np.cos((m + 1) * k * a) * cosc[m] + np.sin((m + 1) * k * a) * sinc[m]
-                 for m in range(n_harmonics)), const)) for k in ks])
+        norms = np.linalg.norm(bloch(spec, ks), axis=1)
         if norms.min() >= gap_ratio * norms.max():
             return spec

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,8 @@ from .inequalities import (plane_check, sphere_check, strong_qii, tol_for,
 from .loops import (bloch_circle, fourier_loop, great_circle, load_loop,
                     min_resolution, random_fourier_spec, save_loop,
                     spherical_polygon, split_self_intersections)
-from .models import (bloch_table_from_csv, bz_loop, creutz, dirac,
-                     fermi_surface_loop, model_from_json, rhombohedral, ssh)
+from .models import (bloch_table_from_csv, bz_loop, fermi_surface_loop,
+                     model_from_json)
 from .search import SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
 
@@ -118,6 +117,9 @@ def run_weak_suite(m, n_loops, k, n, seed, strong=False, workers=1):
     indices = list(range(n_loops))
     if workers <= 1:
         return _verify_rows((m, k, n, seed, indices, strong))
+    # imported here: the process-pool modules add about 1 MB of resident
+    # memory that a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_verify_rows,
@@ -198,26 +200,28 @@ def _cmd_figure1(args) -> int:
 
 # ---------------------------------------------------------------- models
 
+# model JSON parameter -> flag destination, per kind selectable by --model
+_MODEL_FLAGS = {
+    "ssh": {"v": "v", "w": "w"},
+    "creutz": {"t": "t"},
+    "rhombohedral": {"n_layers": "layers", "scale": "scale"},
+    "dirac": {"v_f": "vf"},
+}
+
+
 def _model_from_args(args):
     if getattr(args, "model_json", None):
         return model_from_json(Path(args.model_json).read_text(encoding="utf-8"))
     if getattr(args, "table_csv", None):
         return bloch_table_from_csv(args.table_csv, a=args.a)
-    name = args.model
-    if name == "ssh":
-        return ssh(args.v, args.w, args.a)
-    if name == "creutz":
-        return creutz(args.t, args.a)
-    if name == "rhombohedral":
-        return rhombohedral(args.layers, args.scale, args.a)
-    if name == "dirac":
-        return dirac(args.vf)
-    raise _UsageError(f"unknown model {name!r}")
+    flags = _MODEL_FLAGS[args.model]
+    return model_from_json({
+        "kind": args.model, "lattice_const": args.a,
+        "parameters": {name: getattr(args, dest) for name, dest in flags.items()}})
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--model", default="ssh",
-                        choices=["ssh", "creutz", "rhombohedral", "dirac"])
+    parser.add_argument("--model", default="ssh", choices=list(_MODEL_FLAGS))
     parser.add_argument("--v", type=float, default=0.0, help="SSH intracell hopping")
     parser.add_argument("--w", type=float, default=1.0, help="SSH intercell hopping")
     parser.add_argument("--t", type=float, default=1.0, help="Creutz hopping")
@@ -492,6 +496,13 @@ def build_parser():
 
 def _check_args(args):
     """Usage checks on parsed values, so flags and --config defaults both pass them."""
+    if args.command in ("models", "apps") and args.nk < 3:
+        raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
+    if args.command == "apps":
+        if args.steps < 1:
+            raise _UsageError(f"need --steps >= 1, got {args.steps}")
+        if not args.ratio > 0:
+            raise _UsageError(f"need --ratio > 0, got {args.ratio}")
     if args.command not in ("verify", "search"):
         return
     if args.m < 2:

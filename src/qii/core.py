@@ -31,11 +31,6 @@ def normalize(v) -> np.ndarray:
     return arr / nrm
 
 
-def is_state(v, tol: float = TOL.norm) -> bool:
-    arr = np.asarray(v, dtype=complex)
-    return arr.ndim == 1 and abs(np.linalg.norm(arr) - 1.0) <= tol
-
-
 def overlap(a, b) -> complex:
     """Inner product <a|b> with the first argument conjugated."""
     a = np.asarray(a, dtype=complex)
@@ -48,33 +43,36 @@ def overlap(a, b) -> complex:
 def projector(psi) -> np.ndarray:
     """Rank-one projector |psi><psi| for a normalized state."""
     arr = as_cvector(psi)
-    if not is_state(arr):
+    if abs(np.linalg.norm(arr) - 1.0) > TOL.norm:
         raise ZeroVector("projector requires a normalized state")
     return np.outer(arr, arr.conj())
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
-    if np.abs(h - h.conj().T).max() > TOL.hermitian * scale:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] == 0:
+        raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if np.any(np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+              > TOL.hermitian * scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return h
 
 
 def eigh(h, require_gap_at: int | None = None):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of an (n, M, M) stack.
 
-    Returns (values, vectors) with values ascending and vectors[i] the
-    normalized eigenvector belonging to values[i].  When a single band
-    index is requested via require_gap_at, raises DegenerateAtTolerance
+    Returns (values, vectors) with values ascending and vectors[..., i, :]
+    the normalized eigenvector belonging to values[..., i].  For a single
+    matrix and a band index require_gap_at, raises DegenerateAtTolerance
     if its gap to a neighboring eigenvalue is below the degeneracy
     tolerance (an ill-posed band selection).
     """
     h = _check_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
     if require_gap_at is not None:
+        if h.ndim != 2:
+            raise DimensionMismatch("a band gap check needs a single matrix")
         i = require_gap_at
         if i < 0 or i >= len(vals):
             raise DimensionMismatch(f"band index {i} out of range")
@@ -87,17 +85,24 @@ def eigh(h, require_gap_at: int | None = None):
         if gap < TOL.degeneracy * max(scale, TOL.zero_vector):
             raise DegenerateAtTolerance(
                 f"band {i} gap {gap:.3e} below {TOL.degeneracy:.0e} * ||H||")
-    return vals, vecs.T.copy()
+    return vals, vecs.swapaxes(-2, -1).copy()
 
 
 def gauge_fix(psi) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible entry is real positive."""
-    arr = as_cvector(psi)
-    idx = np.flatnonzero(np.abs(arr) > TOL.gauge_zero)
-    if idx.size == 0:
+    """Rotate the global phase so the first non-negligible entry is real positive.
+
+    psi is one state or an (n, M) stack of states, fixed row by row.
+    """
+    arr = np.asarray(psi, dtype=complex)
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
+        raise DimensionMismatch(f"expected states of shape (M,) or (n, M), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("vector has non-finite entries")
+    big = np.abs(arr) > TOL.gauge_zero
+    if not np.all(big.any(axis=-1)):
         raise ZeroVector("all entries below the gauge-fixing threshold")
-    phase = arr[idx[0]] / abs(arr[idx[0]])
-    return arr / phase
+    lead = np.take_along_axis(arr, big.argmax(axis=-1)[..., None], axis=-1)
+    return arr / (lead / np.abs(lead))
 
 
 class ProjectivePoint:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
-                     IllConditionedSegment, OutOfRange, ZeroVector)
+                     IllConditionedSegment, OutOfRange, WrongDimension,
+                     ZeroVector)
 from .geometry import Loop, _cyclic_overlaps
 
 __all__ = [
@@ -378,6 +379,8 @@ def load_loop(path) -> tuple[Loop, dict]:
     if not rows:
         raise EmptyInput(f"{path}: loop file has no data rows")
     data = np.array([[float(x) for x in row[1:]] for row in rows])
+    if data.shape[1] % 2:
+        raise WrongDimension(f"{path}: loop rows must hold re/im pairs")
     states = data[:, 0::2] + 1j * data[:, 1::2]
     norms = np.linalg.norm(states, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms) & (norms > TOL.zero_vector)):

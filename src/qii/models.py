@@ -4,30 +4,32 @@ Built-in families: SSH chain, pi-flux Creutz ladder (two flat bands),
 N-layer rhombohedral continuum model with off-diagonal (kx - i ky)^N,
 and the gapless 2D Dirac cone.  Custom two-band models enter either as
 smooth Bloch-vector Fourier series or as tabulated Bloch vectors on a
-k-grid (linear interpolation), including from JSON/CSV files.
+k-grid (periodic linear interpolation), including from JSON/CSV files.
+Each kind is one `_KINDS` entry; states and metrics come for all k at once.
 """
 
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .config import TOL
 from .core import eigh, gauge_fix
-from .errors import (DegenerateAtTolerance, EmptyInput, OutOfRange,
-                     SingularAtDiracPoint, WrongDimension)
+from .errors import (DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
+                     OutOfRange, SingularAtDiracPoint, WrongDimension)
 from .geometry import PAULI, Chart, Loop
 
 __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
-    "bloch_table", "model_from_json", "bloch_table_from_csv", "hamiltonian",
-    "band_state", "band_chart", "bz_loop", "fermi_surface_loop",
-    "dirac_metric", "chiral_operator",
+    "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
+    "hamiltonian", "band_state", "band_states", "band_chart", "metric_grid",
+    "bz_grid", "bz_loop", "fermi_surface_loop", "dirac_metric",
+    "chiral_operator",
 ]
 
 _BAND_INDEX = {"lower": 0, "upper": 1}
-_ONE_D = {"ssh", "creutz", "fourier_bloch", "table"}
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,12 @@ class ModelSpec:
     a: float = 1.0  # lattice constant
 
     def __post_init__(self):
-        if self.kind not in _ONE_D | {"rhombohedral", "dirac"}:
+        if self.kind not in _KINDS:
             raise OutOfRange(f"unknown model kind {self.kind!r}")
-        if self.a <= 0:
-            raise OutOfRange("lattice constant must be positive")
+        if not 0.0 < self.a < np.inf:
+            raise OutOfRange("lattice constant must be positive and finite")
+        if not all(np.all(np.isfinite(v)) for v in self.params.values()):
+            raise OutOfRange(f"model {self.kind!r} parameters must be finite")
 
     @property
     def bands(self) -> int:
@@ -50,7 +54,7 @@ class ModelSpec:
 
     @property
     def dim_k(self) -> int:
-        return 1 if self.kind in _ONE_D else 2
+        return _KINDS[self.kind].dim_k
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items())
@@ -70,14 +74,16 @@ def creutz(t: float, a: float = 1.0) -> ModelSpec:
 
 def rhombohedral(n_layers: int, scale: float = 1.0, a: float = 1.0) -> ModelSpec:
     """Chiral two-band continuum model with off-diagonal (kx - i ky)^N."""
-    if n_layers < 1:
-        raise OutOfRange("layer count must be >= 1")
+    if not (n_layers >= 1 and n_layers == int(n_layers) and float(scale) > 0):
+        raise OutOfRange("need an integer layer count >= 1 and scale > 0")
     return ModelSpec("rhombohedral", {"n_layers": int(n_layers),
                                       "scale": float(scale)}, a)
 
 
 def dirac(v_f: float = 1.0) -> ModelSpec:
-    """Gapless 2D Dirac cone with Fermi velocity v_f."""
+    """Gapless 2D Dirac cone with Fermi velocity v_f > 0."""
+    if not float(v_f) > 0:
+        raise OutOfRange("Fermi velocity must be positive")
     return ModelSpec("dirac", {"v_f": float(v_f)})
 
 
@@ -86,53 +92,30 @@ def fourier_bloch(const, cos_coeffs, sin_coeffs, a: float = 1.0) -> ModelSpec:
 
     n(k) = const + sum_m cos(m k a) cos_coeffs[m-1] + sin(m k a) sin_coeffs[m-1].
     """
-    return ModelSpec("fourier_bloch", {
-        "const": np.asarray(const, dtype=float),
-        "cos": np.atleast_2d(np.asarray(cos_coeffs, dtype=float)),
-        "sin": np.atleast_2d(np.asarray(sin_coeffs, dtype=float)),
-    }, a)
+    p = {"const": np.asarray(const, dtype=float),
+         "cos": np.atleast_2d(np.asarray(cos_coeffs, dtype=float)),
+         "sin": np.atleast_2d(np.asarray(sin_coeffs, dtype=float))}
+    if p["const"].shape != (3,) or {p["cos"].shape[1:], p["sin"].shape[1:]} != {(3,)}:
+        raise WrongDimension("need a 3-vector const and (m, 3) cos/sin coefficients")
+    return ModelSpec("fourier_bloch", p, a)
 
 
 def bloch_table(k_grid, vectors, a: float = 1.0) -> ModelSpec:
     """1D model from tabulated Bloch vectors, linearly interpolated in k.
 
     k_grid must be ascending inside [0, 2 pi / a); the table is treated as
-    periodic.
+    periodic, so k points beyond either end interpolate across the wrap.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != (k_grid.size, 3):
+    if k_grid.ndim != 1 or vectors.shape != (k_grid.size, 3):
         raise WrongDimension(f"need (n, 3) Bloch vectors, got {vectors.shape}")
-    if np.any(np.diff(k_grid) <= 0):
-        raise OutOfRange("k grid must be strictly ascending")
-    return ModelSpec("table", {"k": k_grid, "vectors": vectors}, a)
-
-
-def model_from_json(obj) -> ModelSpec:
-    """Build a spec from {kind, parameters, lattice_const} (dict or JSON text)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
-        raise OutOfRange("model config must be a JSON object with a string 'kind'")
-    kind = obj["kind"]
-    params = obj.get("parameters", {})
-    if not isinstance(params, dict):
-        raise OutOfRange("model 'parameters' must be a JSON object")
-    builders = {
-        "ssh": lambda a: ssh(params["v"], params["w"], a),
-        "creutz": lambda a: creutz(params["t"], a),
-        "rhombohedral": lambda a: rhombohedral(params["n_layers"],
-                                               params.get("scale", 1.0), a),
-        "dirac": lambda a: dirac(params.get("v_f", 1.0)),
-    }
-    if kind not in builders:
-        raise OutOfRange(f"unknown model kind {kind!r} in config")
-    try:
-        return builders[kind](float(obj.get("lattice_const", 1.0)))
-    except KeyError as exc:
-        raise OutOfRange(f"model {kind!r} needs parameter {exc.args[0]!r}") from None
-    except TypeError as exc:   # a parameter that is not a number
-        raise OutOfRange(f"model {kind!r}: {exc}") from None
+    if k_grid.size == 0 or np.any(np.diff(k_grid) <= 0):
+        raise OutOfRange("k grid must be non-empty and strictly ascending")
+    spec = ModelSpec("table", {"k": k_grid, "vectors": vectors}, a)
+    if not (k_grid[0] >= 0.0 and k_grid[-1] < 2.0 * np.pi / spec.a):
+        raise OutOfRange("k grid must lie inside [0, 2 pi / a)")
+    return spec
 
 
 def bloch_table_from_csv(path, a: float = 1.0) -> ModelSpec:
@@ -145,92 +128,186 @@ def bloch_table_from_csv(path, a: float = 1.0) -> ModelSpec:
     return bloch_table(data[:, 0], data[:, 1:4], a)
 
 
-def _bloch_vector_of(spec: ModelSpec, k) -> np.ndarray:
-    kind, p = spec.kind, spec.params
-    if kind == "ssh":
-        ka = float(k) * spec.a
-        return np.array([p["v"] + p["w"] * np.cos(ka), p["w"] * np.sin(ka), 0.0])
-    if kind == "creutz":
-        ka = float(k) * spec.a
-        return np.array([2 * p["t"] * np.cos(ka), 0.0, 2 * p["t"] * np.sin(ka)])
-    if kind == "fourier_bloch":
-        ka = float(k) * spec.a
-        n = p["const"].copy()
-        for m, row in enumerate(p["cos"], start=1):
-            n += np.cos(m * ka) * row
-        for m, row in enumerate(p["sin"], start=1):
-            n += np.sin(m * ka) * row
-        return n
-    if kind == "table":
-        period = 2.0 * np.pi / spec.a
-        kk = float(k) % period
-        grid = np.concatenate([p["k"], [p["k"][0] + period]])
-        vecs = np.vstack([p["vectors"], p["vectors"][:1]])
-        return np.array([np.interp(kk, grid, vecs[:, i]) for i in range(3)])
-    if kind == "rhombohedral":
-        kx, ky = np.asarray(k, dtype=float)
-        q = (kx - 1j * ky) ** p["n_layers"]
-        return p["scale"] * np.array([q.real, q.imag, 0.0])
-    if kind == "dirac":
-        kx, ky = np.asarray(k, dtype=float)
-        return p["v_f"] * np.array([kx, ky, 0.0])
-    raise OutOfRange(f"unknown model kind {kind!r}")
+# ---------------------------------------------------------------- registry
+# Bloch-vector maps: ks of shape (n,) (1D kinds) or (n, 2) (2D) -> n(k), (n, 3)
+
+def _ssh_bloch(spec, ks):
+    p, ka = spec.params, ks * spec.a
+    return np.stack([p["v"] + p["w"] * np.cos(ka), p["w"] * np.sin(ka), 0 * ka], axis=1)
+
+
+def _creutz_bloch(spec, ks):
+    t, ka = spec.params["t"], ks * spec.a
+    return np.stack([2 * t * np.cos(ka), 0 * ka, 2 * t * np.sin(ka)], axis=1)
+
+
+def _fourier_bloch(spec, ks):
+    p, ka = spec.params, ks * spec.a
+    return (p["const"] + np.cos(np.outer(ka, np.arange(1, len(p["cos"]) + 1))) @ p["cos"]
+            + np.sin(np.outer(ka, np.arange(1, len(p["sin"]) + 1))) @ p["sin"])
+
+
+def _table_bloch(spec, ks):
+    k, period = spec.params["k"], 2.0 * np.pi / spec.a
+    return np.stack([np.interp(ks, k, v, period=period) for v in spec.params["vectors"].T],
+                    axis=1)
+
+
+def _rhombohedral_bloch(spec, ks):
+    q = (ks[:, 0] - 1j * ks[:, 1]) ** spec.params["n_layers"]
+    return spec.params["scale"] * np.stack([q.real, q.imag, 0 * q.real], axis=1)
+
+
+def _dirac_bloch(spec, ks):
+    return spec.params["v_f"] * np.stack([ks[:, 0], ks[:, 1], 0 * ks[:, 0]], axis=1)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    dim_k: int
+    build: Callable      # (JSON parameters, lattice constant) -> ModelSpec
+    bloch: Callable      # (spec, ks) -> Bloch vectors
+    scale: Callable      # parameters -> characteristic energy scale
+    chiral: np.ndarray | None = None   # operator anticommuting with every H(k)
+    fermi: Callable | None = None      # (parameters, e_f, n) -> (k_F, samples)
+
+
+_KINDS = {
+    "ssh": _Kind(1, lambda p, a: ssh(p["v"], p["w"], a), _ssh_bloch,
+                 lambda p: abs(p["v"]) + abs(p["w"]), chiral=PAULI[2]),
+    "creutz": _Kind(1, lambda p, a: creutz(p["t"], a), _creutz_bloch,
+                    lambda p: 2.0 * abs(p["t"]), chiral=PAULI[1]),
+    "fourier_bloch": _Kind(
+        1, lambda p, a: fourier_bloch(p["const"], p["cos"], p["sin"], a), _fourier_bloch,
+        lambda p: float(np.linalg.norm(p["const"]) + np.abs(p["cos"]).sum()
+                        + np.abs(p["sin"]).sum())),
+    "table": _Kind(1, lambda p, a: bloch_table(p["k"], p["vectors"], a), _table_bloch,
+                   lambda p: float(np.linalg.norm(p["vectors"], axis=1).max())),
+    "rhombohedral": _Kind(
+        2, lambda p, a: rhombohedral(p["n_layers"], p.get("scale", 1.0), a),
+        _rhombohedral_bloch, lambda p: abs(p["scale"]), chiral=PAULI[2],
+        # n rounded up to a multiple of N: the N-fold winding closes on the grid
+        fermi=lambda p, e_f, n: ((e_f / p["scale"]) ** (1.0 / p["n_layers"]),
+                                 p["n_layers"] * int(np.ceil(n / p["n_layers"])))),
+    "dirac": _Kind(2, lambda p, a: dirac(p.get("v_f", 1.0)), _dirac_bloch,
+                   lambda p: abs(p["v_f"]), chiral=PAULI[2],
+                   fermi=lambda p, e_f, n: (e_f / p["v_f"], n)),
+}
+
+
+def model_from_json(obj) -> ModelSpec:
+    """Build a spec from {kind, parameters, lattice_const} (dict or JSON text).
+
+    The parameters are the keyword arguments of the kind's builder, e.g.
+    fourier_bloch {const, cos, sin} and table {k, vectors}.
+    """
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise OutOfRange("model config must be a JSON object with a string 'kind'")
+    kind = obj["kind"]
+    params = obj.get("parameters", {})
+    if not isinstance(params, dict):
+        raise OutOfRange("model 'parameters' must be a JSON object")
+    if kind not in _KINDS:
+        raise OutOfRange(f"unknown model kind {kind!r} in config")
+    try:
+        return _KINDS[kind].build(params, float(obj.get("lattice_const", 1.0)))
+    except KeyError as exc:
+        raise OutOfRange(f"model {kind!r} needs parameter {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:   # a parameter that is not a number
+        raise OutOfRange(f"model {kind!r}: {exc}") from None
+
+
+# ---------------------------------------------------------------- k arrays
+
+def bloch(spec: ModelSpec, ks) -> np.ndarray:
+    """Bloch vectors n(k), shape (n, 3), of H(k) = n(k).sigma at ks of shape (n, dim_k)."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != spec.dim_k or ks.shape[1:] not in ((), (2,)):
+        raise WrongDimension(f"{spec.dim_k}D model given k points of shape {ks.shape}")
+    return _KINDS[spec.kind].bloch(spec, ks)
 
 
 def hamiltonian(spec: ModelSpec, k) -> np.ndarray:
     """Hermitian 2x2 Bloch Hamiltonian n(k).sigma at momentum k."""
-    n = _bloch_vector_of(spec, k)
-    return np.einsum("i,ijk->jk", n, PAULI)
+    return np.einsum("i,ijk->jk", bloch(spec, np.asarray(k, dtype=float)[None])[0], PAULI)
 
 
-def _characteristic_scale(spec: ModelSpec) -> float:
-    p = spec.params
-    if spec.kind == "ssh":
-        return abs(p["v"]) + abs(p["w"])
-    if spec.kind == "creutz":
-        return 2.0 * abs(p["t"])
-    if spec.kind == "rhombohedral":
-        return abs(p["scale"])
-    if spec.kind == "dirac":
-        return abs(p["v_f"])
-    if spec.kind == "fourier_bloch":
-        return float(np.linalg.norm(p["const"]) + np.abs(p["cos"]).sum()
-                     + np.abs(p["sin"]).sum())
-    return float(np.linalg.norm(p["vectors"], axis=1).max())
+def _check_gap(spec: ModelSpec, ks, gap, e_max):
+    # the gap is measured against max(model scale, |eigenvalue|), since at an
+    # exact closing the local matrix norm itself collapses to rounding noise
+    scale = np.maximum(_KINDS[spec.kind].scale(spec.params), e_max)
+    bad = np.flatnonzero(gap < TOL.degeneracy * np.maximum(scale, TOL.zero_vector))
+    if bad.size:
+        raise DegenerateAtTolerance(f"gap {gap[bad[0]]:.3e} at k = {ks[bad[0]]} below "
+                                    f"{TOL.degeneracy:.0e} * model scale")
+
+
+def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
+    """Normalized gauge-fixed eigenstates of one band at each k, shape (n, 2).
+
+    One batched eigendecomposition of the (n, 2, 2) stack n(k).sigma.
+    Raises DegenerateAtTolerance at the first gap closing (e.g. the Dirac
+    point, or the SSH critical point v = w at k a = pi).
+    """
+    idx = _BAND_INDEX[band]
+    ks = np.asarray(ks, dtype=float)
+    vals, vecs = eigh(np.einsum("ni,ijk->njk", bloch(spec, ks), PAULI))
+    _check_gap(spec, ks, vals[:, 1] - vals[:, 0], np.abs(vals).max(axis=1))
+    return gauge_fix(vecs[:, idx])
 
 
 def band_state(spec: ModelSpec, k, band: str = "lower") -> np.ndarray:
-    """Normalized gauge-fixed eigenstate of the requested band.
-
-    Raises DegenerateAtTolerance at gap closings (e.g. the Dirac point,
-    or the SSH critical point v = w at k a = pi).  The gap is measured
-    against the model's characteristic energy scale, since at an exact
-    closing the local matrix norm itself collapses to rounding noise.
-    """
-    idx = _BAND_INDEX[band]
-    vals, vecs = eigh(hamiltonian(spec, k))
-    scale = max(_characteristic_scale(spec), float(np.abs(vals).max()))
-    if vals[1] - vals[0] < TOL.degeneracy * max(scale, TOL.zero_vector):
-        raise DegenerateAtTolerance(
-            f"gap {vals[1] - vals[0]:.3e} at k = {k} below "
-            f"{TOL.degeneracy:.0e} * model scale")
-    return gauge_fix(vecs[idx])
+    """Normalized gauge-fixed eigenstate of the requested band at one k."""
+    return band_states(spec, np.asarray(k, dtype=float)[None], band)[0]
 
 
 def band_chart(spec: ModelSpec, band: str = "lower",
                step: float = TOL.fd_step) -> Chart:
     """Chart k -> band state, for geometric-tensor evaluation."""
-    if spec.dim_k == 1:
-        return Chart(map=lambda lam: band_state(spec, lam[0], band), d=1, step=step)
-    return Chart(map=lambda lam: band_state(spec, lam, band), d=2, step=step)
+    one_d = spec.dim_k == 1
+    return Chart(map=lambda lam: band_state(spec, lam[0] if one_d else lam, band),
+                 d=spec.dim_k, step=step)
+
+
+def _unit_bloch(spec: ModelSpec, ks) -> np.ndarray:
+    n = bloch(spec, ks)
+    norm = np.linalg.norm(n, axis=1)
+    _check_gap(spec, ks, 2.0 * norm, norm)   # eigenvalues -+|n|
+    return n / norm[:, None]
+
+
+def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
+    """Quantum metric of one band at each k, shape (n, dim_k, dim_k).
+
+    With P = (1 -+ n^.sigma) / 2, g_mn = Re Tr[dP_m dP_n] / 2 =
+    (1/4) d_m n^ . d_n n^ for both bands (Provost & Vallee, Commun. Math.
+    Phys. 76, 289 (1980)).  Central differences of n^ at TOL.fd_step, so the
+    values equal qgt_at(band_chart(spec, band), k).g to rounding; a gap
+    closing at k or k +- TOL.fd_step raises DegenerateAtTolerance.
+    """
+    _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
+    ks = np.asarray(ks, dtype=float)
+    _unit_bloch(spec, ks)   # the gap gate at k itself
+    h = TOL.fd_step
+    dn = np.stack([(_unit_bloch(spec, ks + e) - _unit_bloch(spec, ks - e)) / (2.0 * h)
+                   for e in ([h] if spec.dim_k == 1 else np.eye(2) * h)], axis=1)
+    if not np.all(np.isfinite(dn)):
+        raise NonFiniteDerivative("non-finite Bloch-vector difference")
+    return 0.25 * np.einsum("nmi,nli->nml", dn, dn)
+
+
+def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:
+    """The n momenta k_j = 2 pi j / (n a) of the 1D Brillouin zone."""
+    return 2.0 * np.pi * np.arange(n) / (n * spec.a)
 
 
 def bz_loop(spec: ModelSpec, band: str = "lower", n: int = 512) -> Loop:
     """Loop of band states over the 1D Brillouin zone, k_j = 2 pi j / (n a)."""
     if spec.dim_k != 1:
         raise WrongDimension("Brillouin-zone loops need a 1D model")
-    ks = 2.0 * np.pi * np.arange(n) / (n * spec.a)
-    return Loop(np.array([band_state(spec, k, band) for k in ks]))
+    return Loop(band_states(spec, bz_grid(spec, n), band))
 
 
 def fermi_surface_loop(spec: ModelSpec, e_f: float, n: int = 512):
@@ -243,18 +320,12 @@ def fermi_surface_loop(spec: ModelSpec, e_f: float, n: int = 512):
     """
     if e_f <= 0:
         raise OutOfRange("Fermi energy must be positive")
-    if spec.kind == "dirac":
-        k_f = e_f / spec.params["v_f"]
-    elif spec.kind == "rhombohedral":
-        n_layers = spec.params["n_layers"]
-        k_f = (e_f / spec.params["scale"]) ** (1.0 / n_layers)
-        n = n_layers * int(np.ceil(n / n_layers))
-    else:
+    if _KINDS[spec.kind].fermi is None:
         raise WrongDimension("Fermi-surface loops need a 2D model")
+    k_f, n = _KINDS[spec.kind].fermi(spec.params, e_f, n)
     alphas = 2.0 * np.pi * np.arange(n) / n
-    states = np.array([band_state(spec, k_f * np.array([np.cos(al), np.sin(al)]),
-                                  "upper") for al in alphas])
-    return Loop(states), 2.0 * np.pi * k_f
+    ks = k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1)
+    return Loop(band_states(spec, ks, "upper")), 2.0 * np.pi * k_f
 
 
 def dirac_metric(k) -> np.ndarray:
@@ -272,8 +343,6 @@ def dirac_metric(k) -> np.ndarray:
 
 def chiral_operator(spec: ModelSpec) -> np.ndarray:
     """Operator anticommuting with the Hamiltonian of each built-in."""
-    if spec.kind in {"ssh", "rhombohedral", "dirac"}:
-        return PAULI[2]  # sigma_z: Bloch vector lives in the x-y plane
-    if spec.kind == "creutz":
-        return PAULI[1]  # sigma_y: Bloch vector lives in the x-z plane
-    raise OutOfRange(f"no chiral operator declared for {spec.kind!r}")
+    if _KINDS[spec.kind].chiral is None:
+        raise OutOfRange(f"no chiral operator declared for {spec.kind!r}")
+    return _KINDS[spec.kind].chiral

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths:
 distances come from scalar math.acos loops, Berry phases from the raw
 complex product, spherical areas from l'Huilier's formula, and two-level
-dynamics from the closed-form matrix exponential.
+dynamics from the closed-form matrix exponential.  The band-structure
+oracles evaluate one k point at a time, through the model's Hamiltonian
+and the generic chart path, never through the batched k-array code.
 """
 
 import cmath
@@ -122,3 +124,25 @@ def gram_split(states, tol) -> list:
             return (gram_split(states[j:k], tol)
                     + gram_split(np.concatenate([states[:j], states[k:]]), tol))
     return [states]
+
+
+def per_k_band_states(spec, ks, band) -> np.ndarray:
+    """Band states one k at a time: numpy eigh of H(k), then the phase that
+    makes the first entry above 1e-10 in modulus real positive."""
+    from qii.models import hamiltonian
+    out = []
+    for k in ks:
+        _, vecs = np.linalg.eigh(hamiltonian(spec, k))
+        v = vecs[:, {"lower": 0, "upper": 1}[band]]
+        lead = v[np.flatnonzero(np.abs(v) > 1e-10)[0]]
+        out.append(v / (lead / abs(lead)))
+    return np.array(out)
+
+
+def chart_metric_grid(spec, band, ks) -> np.ndarray:
+    """Quantum metric at each k from the generic per-point path: qgt_at on
+    band_chart, i.e. central differences of the eigenvector projector."""
+    from qii.geometry import qgt_at
+    from qii.models import band_chart
+    chart = band_chart(spec, band)
+    return np.array([qgt_at(chart, np.atleast_1d(k), richardson=False).g for k in ks])

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import two_level_propagator, unwrapped_winding_metric_integral
+from oracles import (chart_metric_grid, per_k_band_states, two_level_propagator,
+                     unwrapped_winding_metric_integral)
+from qii import applications, geometry, models
 from qii.applications import (adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
 from qii.errors import NotCyclic, OutOfRange
-from qii.models import creutz, dirac, hamiltonian, rhombohedral, ssh
+from qii.geometry import Loop, aggregate_summary, summarize
+from qii.loops import split_self_intersections
+from qii.models import bz_grid, creutz, dirac, hamiltonian, rhombohedral, ssh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -140,6 +144,13 @@ def test_speed_limit_rabi_cycle_saturates():
     assert report.margin == pytest.approx(0.0, abs=1e-6)
 
 
+def test_evolve_and_cone_demo_reject_bad_parameters():
+    with pytest.raises(OutOfRange):
+        evolve(lambda t: SX, [1, 0], 1.0, 0)
+    with pytest.raises(OutOfRange):
+        adiabatic_cone_demo(1.0, ratio=0.0)
+
+
 def test_speed_limit_rejects_open_trajectory():
     traj = evolve(lambda t: 0.5 * SX, [1, 0], 1.0, 200)
     with pytest.raises(NotCyclic):
@@ -209,3 +220,69 @@ def test_random_model_chains_monotone():
         schain = superfluid_weight_1d(spec, u=1.0, nu=0.5, n_k=96)
         assert wchain.is_monotone(1e-6)
         assert schain.is_monotone(1e-6)
+
+
+# --- chains against the per-k oracles ---
+
+def _oracle_wannier(spec, n_k):
+    ks = bz_grid(spec, n_k)
+    s = summarize(Loop(per_k_band_states(spec, ks, "lower")))
+    omega = np.mean(chart_metric_grid(spec, "lower", ks)[:, 0, 0])
+    return np.array([omega, (spec.a * s.d_fs / (2 * np.pi)) ** 2,
+                     (spec.a * s.gamma_b / (2 * np.pi)) ** 2])
+
+
+def _oracle_eph(spec, e_f, n):
+    loop, l_fs = models.fermi_surface_loop(spec, e_f, n)
+    alphas = 2 * np.pi * np.arange(loop.n) / loop.n
+    ks = l_fs / (2 * np.pi) * np.c_[np.cos(alphas), np.sin(alphas)]
+    g = chart_metric_grid(spec, "upper", ks)
+    that = np.c_[-np.sin(alphas), np.cos(alphas)]
+    parts = split_self_intersections(Loop(per_k_band_states(spec, ks, "upper")))
+    agg = aggregate_summary([summarize(p) for p in parts])
+    return np.array([sum(np.trace(x) for x in g) * l_fs / loop.n,
+                     sum(t @ x @ t for t, x in zip(that, g)) * l_fs / loop.n,
+                     agg.d_fs**2 / l_fs, agg.gamma_total**2 / l_fs])
+
+
+def test_chain_values_match_per_k_oracle():
+    rng = np.random.default_rng(3)
+    specs = [random_gapped_bloch_spec(rng) for _ in range(4)] + [ssh(2, 1, a=1.3), creutz(1.0)]
+    for spec in specs:
+        expected = _oracle_wannier(spec, 96)
+        np.testing.assert_allclose(wannier_bound_chain(spec, n_k=96).values, expected,
+                                   rtol=1e-12, atol=1e-14)
+        factor = 0.7 * 0.3 * (1 - 0.3) / (np.pi**2 * 2)
+        d_s = superfluid_weight_1d(spec, u=0.7, nu=0.3, n_k=96).values[0]
+        assert d_s == pytest.approx(factor * expected[0] * 2 * np.pi / spec.a, rel=1e-12)
+    for spec, e_f in ((dirac(1.3), 0.7), (rhombohedral(3), 1.1), (rhombohedral(5, 0.8), 1.4)):
+        np.testing.assert_allclose(eph_bound_chain(spec, e_f, 128).values,
+                                   _oracle_eph(spec, e_f, 128), rtol=1e-12)
+
+
+def test_chains_make_no_per_k_calls(monkeypatch):
+    # a deterministic guard against a per-k relapse: eigh and qgt_at are
+    # called a fixed number of times per chain, whatever the k count
+    calls = {"eigh": 0, "qgt_at": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(models, "eigh", counting("eigh", models.eigh))
+    qgt_at = counting("qgt_at", geometry.qgt_at)
+    monkeypatch.setattr(geometry, "qgt_at", qgt_at)
+    monkeypatch.setattr(applications, "qgt_at", qgt_at)
+    spec = random_gapped_bloch_spec(5)
+    chains = (lambda n: wannier_bound_chain(spec, n_k=n),
+              lambda n: superfluid_weight_1d(spec, 1.0, 0.5, n_k=n),
+              lambda n: eph_bound_chain(rhombohedral(2), 1.0, n))
+    for chain in chains:
+        counts = []
+        for n in (32, 512):
+            calls.update(eigh=0, qgt_at=0)
+            chain(n)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] and counts[1]["eigh"] <= 2 and counts[1]["qgt_at"] == 0

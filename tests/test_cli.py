@@ -288,6 +288,12 @@ def _loop_csv_with_zero_row(path):
     return ["loop-io", "import", str(path)]
 
 
+def _loop_csv_with_odd_columns(path):
+    path.write_text('# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1\n'
+                    "0,1,0,0\n1,0,0,1\n2,1,0,1\n")
+    return ["loop-io", "import", str(path)]
+
+
 def _table_csv_without_rows(path):
     path.write_text("k,nx,ny,nz\n")
     return ["models", "--table-csv", str(path)]
@@ -303,11 +309,15 @@ def _model_json(text):
 @pytest.mark.parametrize("make_argv, message", [
     (_loop_csv_without_rows, "no data rows"),
     (_loop_csv_with_zero_row, "zero or non-finite"),
+    (_loop_csv_with_odd_columns, "re/im pairs"),
     (_table_csv_without_rows, "no data rows"),
     (_model_json('{"kind": "ssh", "parameters": {}}'), "'v'"),
     (_model_json('{"kind": "rhombohedral"}'), "'n_layers'"),
     (_model_json('{"parameters": {"t": 1.0}}'), "'kind'"),
     (_model_json('["ssh"]'), "object"),
+    (_model_json('{"kind": "dirac", "parameters": {"v_f": 0}}'), "Fermi velocity"),
+    (_model_json('{"kind": "fourier_bloch", "parameters": {"const": [1, 0], '
+                 '"cos": [[0, 0, 1]], "sin": [[0, 1, 0]]}}'), "3-vector"),
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, message):
     argv = make_argv(tmp_path / "input") + ["--out", str(tmp_path / "o")]
@@ -322,6 +332,13 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     ["verify", "--m", "3", "--n", "16"],
     ["search", "--m", "3", "--n", "16"],
     ["search", "--m", "3", "--k", "-1"],
+    ["apps", "--app", "speed", "--steps", "0"],
+    ["apps", "--app", "speed", "--ratio", "0"],
+    ["apps", "--app", "wannier", "--nk", "0"],
+    ["apps", "--app", "eph", "--model", "dirac", "--nk", "2"],
+    ["apps", "--app", "sfweight", "--nk", "0"],
+    ["models", "--nk", "0"],
+    ["models", "--nk", "2"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

@@ -114,6 +114,20 @@ def test_eigh_reconstructs_random_hermitian():
         assert np.abs(rebuilt - h).max() <= 1e-10 * scale
 
 
+def test_eigh_stack_matches_single_matrices():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+    h = a + a.conj().swapaxes(1, 2)
+    vals, vecs = eigh(h)
+    for i in range(20):
+        one_vals, one_vecs = eigh(h[i])
+        np.testing.assert_array_equal(vals[i], one_vals)
+        np.testing.assert_array_equal(vecs[i], one_vecs)
+    h[7, 0, 1] += 1.0
+    with pytest.raises(NotHermitian):
+        eigh(h)
+
+
 # --- projector ---
 
 def test_projector_pole():
@@ -149,6 +163,18 @@ def test_gauge_fix_idempotent_and_phase_free(seed, alpha):
     fixed = gauge_fix(v)
     np.testing.assert_allclose(gauge_fix(fixed), fixed, atol=1e-14)
     np.testing.assert_allclose(gauge_fix(np.exp(1j * alpha) * v), fixed, atol=1e-12)
+
+
+def test_gauge_fix_stack_matches_rows():
+    rng = np.random.default_rng(4)
+    states = np.array([_random_state(rng, 3) for _ in range(12)])
+    states[5, 0] = 0.0   # the first entry vanishes: the second one is made real
+    fixed = gauge_fix(states)
+    for i in range(12):
+        np.testing.assert_array_equal(fixed[i], gauge_fix(states[i]))
+    states[2] = 0.0
+    with pytest.raises(ZeroVector):
+        gauge_fix(states)
 
 
 def test_projective_point_equality():

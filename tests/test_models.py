@@ -1,17 +1,44 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange,
+from oracles import chart_metric_grid, per_k_band_states
+from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
 from qii.geometry import (PAULI, bloch_vectors, loop_berry_phase,
                           loop_distance, qgt_at, summarize)
 from qii.inequalities import aggregate_subloops
-from qii.loops import split_self_intersections
-from qii.models import (band_chart, band_state, bloch_table,
+from qii.loops import load_loop, split_self_intersections
+from qii.models import (band_chart, band_state, band_states, bloch, bloch_table,
                         bloch_table_from_csv, bz_loop, chiral_operator,
                         creutz, dirac, dirac_metric, fermi_surface_loop,
-                        fourier_bloch, hamiltonian, model_from_json,
+                        fourier_bloch, hamiltonian, metric_grid, model_from_json,
                         rhombohedral, ssh)
+
+_RNG = np.random.default_rng(12)
+_TABLE_KS = np.linspace(0.05, 2 * np.pi, 64, endpoint=False)   # first node above 0
+# one model of every kind; the table samples a gapped SSH-like Bloch vector
+EVERY_KIND = [
+    ssh(0.7, 1.3, a=1.5), creutz(1.2, a=0.8),
+    fourier_bloch([0.2, -0.3, 1.6], _RNG.normal(size=(2, 3)) / 3, _RNG.normal(size=(2, 3)) / 3,
+                  a=1.2),
+    bloch_table(_TABLE_KS, np.c_[0.5 + np.cos(_TABLE_KS), np.sin(_TABLE_KS),
+                                 0.3 * np.cos(2 * _TABLE_KS)]),
+    rhombohedral(3, scale=0.7), dirac(1.5),
+]
+
+
+def _k_points(spec, n):
+    rng = np.random.default_rng(n)
+    if spec.dim_k == 1:
+        return rng.uniform(0.0, 2 * np.pi / spec.a, n)
+    radius, angle = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 2 * np.pi, n)
+    return np.c_[radius * np.cos(angle), radius * np.sin(angle)]
 
 
 # --- hamiltonian ---
@@ -182,6 +209,8 @@ def test_model_from_json_roundtrip():
     ('[1, 2]', "object"),
     ('{"kind": "ssh", "parameters": {"v": [1], "w": 1}}', "'ssh'"),
     ('{"kind": "dirac", "lattice_const": {}}', "'dirac'"),
+    ('{"kind": "rhombohedral", "parameters": {"n_layers": Infinity}}', "'rhombohedral'"),
+    ('{"kind": "table", "parameters": {"k": [0, 1], "vectors": {}}}', "'table'"),
 ])
 def test_model_from_json_malformed(doc, needle):
     with pytest.raises(OutOfRange, match=needle):
@@ -219,3 +248,143 @@ def test_fourier_bloch_model():
     h = hamiltonian(spec, 0.9)
     ref = hamiltonian(ssh(0.5, 1.0), 0.9)
     np.testing.assert_allclose(h, ref, atol=1e-14)
+
+
+def test_bloch_table_interpolates_across_the_wrap():
+    # nodes at 0.5 + j * 2pi/n: k below the first node lies between the last
+    # node (shifted down by a period) and the first one
+    ks = 0.5 + np.arange(8) * 2 * np.pi / 8
+    table = bloch_table(ks, np.c_[np.cos(ks), np.sin(ks), np.zeros(8)])
+    span = 2 * np.pi / 8
+    w = (0.2 - (ks[-1] - 2 * np.pi)) / span
+    expected = (1 - w) * np.array([np.cos(ks[-1]), np.sin(ks[-1]), 0]) \
+        + w * np.array([np.cos(ks[0]), np.sin(ks[0]), 0])
+    np.testing.assert_allclose(bloch(table, [0.2])[0], expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("k_grid", [[0.0, 1.0, 2 * np.pi], [-0.1, 1.0], []])
+def test_bloch_table_rejects_grids_outside_the_zone(k_grid):
+    with pytest.raises(OutOfRange):
+        bloch_table(k_grid, np.ones((len(k_grid), 3)))
+
+
+def test_builders_reject_bad_parameters():
+    for build in (lambda: dirac(0.0), lambda: rhombohedral(2, -1.0), lambda: rhombohedral(2.5),
+                  lambda: ssh(np.nan, 1.0), lambda: creutz(1.0, a=0.0),
+                  lambda: fourier_bloch([1, 0], [[1, 0, 0]], [[0, 1, 0]])):
+        with pytest.raises((OutOfRange, WrongDimension)):
+            build()
+
+
+def test_bloch_rejects_wrong_k_shapes():
+    with pytest.raises(WrongDimension):
+        bloch(ssh(1, 2), np.zeros((4, 2)))
+    with pytest.raises(WrongDimension):
+        bloch(dirac(1.0), np.zeros(4))
+
+
+def test_chiral_operator_only_for_builtins():
+    for spec in EVERY_KIND[2:4]:
+        with pytest.raises(OutOfRange):
+            chiral_operator(spec)
+
+
+# --- k-array paths against the per-k oracles ---
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_band_states_match_per_k_eigh(spec, band):
+    ks = _k_points(spec, 40)
+    np.testing.assert_allclose(band_states(spec, ks, band),
+                               per_k_band_states(spec, ks, band), atol=1e-14)
+    np.testing.assert_array_equal(band_state(spec, ks[3], band),
+                                  band_states(spec, ks, band)[3])
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_metric_grid_matches_qgt_at(spec, band):
+    ks = _k_points(spec, 40)
+    g = metric_grid(spec, band, ks)
+    assert g.shape == (40, spec.dim_k, spec.dim_k)
+    np.testing.assert_allclose(g, chart_metric_grid(spec, band, ks), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec, ks, where", [
+    (ssh(1.0, 1.0), np.linspace(0, 2 * np.pi, 8, endpoint=False), "3.14159"),
+    (dirac(1.0), np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 0.0]]), "[0. 0.]"),
+])
+def test_batched_gap_closing_raises(spec, ks, where):
+    for run in (lambda: band_states(spec, ks), lambda: band_states(spec, ks, "upper"),
+                lambda: metric_grid(spec, "lower", ks)):
+        with pytest.raises(DegenerateAtTolerance) as info:
+            run()
+        assert where in str(info.value)   # the first offending k
+
+
+# --- model_from_json ---
+
+def _to_json(spec):
+    params = {k: np.asarray(v).tolist() for k, v in spec.params.items()}
+    return json.dumps({"kind": spec.kind, "parameters": params, "lattice_const": spec.a})
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+def test_model_from_json_roundtrip_every_kind(spec):
+    back = model_from_json(_to_json(spec))
+    assert back.kind == spec.kind and back.a == spec.a
+    assert back.params.keys() == spec.params.keys()
+    for key, value in spec.params.items():
+        np.testing.assert_array_equal(back.params[key], value)
+    ks = _k_points(spec, 16)
+    np.testing.assert_array_equal(bloch(back, ks), bloch(spec, ks))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12)
+_NUMBERS = st.lists(st.floats(), min_size=3, max_size=3)
+_PARAMS = st.dictionaries(
+    st.sampled_from(["v", "w", "t", "n_layers", "scale", "v_f", "const", "cos", "sin",
+                     "k", "vectors"]),
+    _JSON | _NUMBERS | st.lists(_NUMBERS, max_size=3), max_size=6)
+_MODEL_DOCS = _JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
+                              "table", "bogus"]) | _JSON},
+    optional={"parameters": _PARAMS | _JSON, "lattice_const": _JSON})
+
+
+@given(_MODEL_DOCS, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_model_from_json_fuzz_raises_only_typed_errors(doc, as_text):
+    try:
+        model_from_json(json.dumps(doc) if as_text else doc)
+    except (QiiError, ValueError):
+        pass
+
+
+_CELLS = st.floats().map(repr) | st.text("0123456789.-e", max_size=6)
+_LOOP_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.builds(lambda head, rows: head + "index,re_0,im_0,re_1,im_1\n" + "".join(
+        ",".join(row) + "\n" for row in rows),
+        st.sampled_from(['# {"m": 2}\n', "#\n", "# [1\n", "no header\n"]),
+        st.lists(st.lists(_CELLS, max_size=6), max_size=6)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # rows near 1e308
+@given(_LOOP_TEXT | st.binary(max_size=64))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_load_loop_fuzz_raises_only_typed_errors(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loop.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        try:
+            load_loop(path)
+        except (QiiError, ValueError):
+            pass
