@@ -57,7 +57,7 @@ class Loop:
         norms = np.linalg.norm(arr, axis=1)
         if not np.all(np.abs(norms - 1.0) <= TOL.norm):   # nan rows fail too
             raise ValueError("loop states must be normalized")
-        ovl = np.abs(_cyclic_overlaps(arr))
+        ovl = np.abs(_overlap_pass(arr)[1])
         if ovl.min() <= TOL.segment_overlap:
             raise IllConditionedSegment(
                 f"consecutive overlap {ovl.min():.3e} at segment {int(ovl.argmin())}")
@@ -93,22 +93,23 @@ class LoopSummary:
     convergence_est: float
 
 
-def _cyclic_overlaps(states: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
+def _overlap_pass(states: np.ndarray):
+    """(successor rows, cyclic overlaps <psi_j|psi_{j+1}>); the successors
+    are np.roll(states, -1, axis=0) made by one slice concatenation."""
+    nxt = np.concatenate((states[1:], states[:1]))
+    return nxt, np.einsum("ij,ij->i", states.conj(), nxt)
 
 
-def _distance(states: np.ndarray) -> float:
+def _distance(states: np.ndarray, overlaps=None) -> float:
     # atan2(sin, cos) with the sine taken from the orthogonal residual is
     # uniformly accurate; arccos alone loses half the digits near 1.
-    nxt = np.roll(states, -1, axis=0)
-    ovl = np.einsum("ij,ij->i", states.conj(), nxt)
-    residual = nxt - states * ovl[:, None]
-    sin = np.linalg.norm(residual, axis=1)
+    nxt, ovl = overlaps or _overlap_pass(states)
+    sin = np.linalg.norm(nxt - states * ovl[:, None], axis=1)
     return float(np.arctan2(sin, np.abs(ovl)).sum())
 
 
-def _berry_phase(states: np.ndarray) -> float:
-    ovl = _cyclic_overlaps(states)
+def _berry_phase(states: np.ndarray, ovl=None) -> float:
+    ovl = _overlap_pass(states)[1] if ovl is None else ovl
     small = np.abs(ovl)
     if small.min() < TOL.segment_overlap:
         raise IllConditionedSegment(
@@ -116,6 +117,12 @@ def _berry_phase(states: np.ndarray) -> float:
     # Summing the segment angles (each well inside (-pi, pi)) instead of
     # taking arg of the product avoids underflow of the product magnitude.
     return principal_phase(-float(np.angle(ovl).sum()))
+
+
+def _scalars(states: np.ndarray, overlaps=None) -> tuple[float, float]:
+    """(d_fs, gamma_b) from one overlap pass, `overlaps` if already made."""
+    overlaps = overlaps or _overlap_pass(states)
+    return _distance(states, overlaps), _berry_phase(states, overlaps[1])
 
 
 def segment_distance(a, b) -> float:
@@ -211,13 +218,12 @@ def summarize(loop: Loop) -> LoopSummary:
     The estimate compares against the half-resolution subsampled loop;
     for a loop that is already a geodesic polygon it is ~machine epsilon.
     """
-    d = _distance(loop.states)
-    g = _berry_phase(loop.states)
+    d, g = _scalars(loop.states)
     if loop.n >= 6:
         half = loop.states[::2]
         try:
-            est = max(abs(d - _distance(half)),
-                      abs(principal_phase(g - _berry_phase(half), guard=0.0)))
+            d_half, g_half = _scalars(half)
+            est = max(abs(d - d_half), abs(principal_phase(g - g_half, guard=0.0)))
         except IllConditionedSegment:
             # subsampling can join nearly orthogonal states on wild loops
             est = abs(d - _distance(half))

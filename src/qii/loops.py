@@ -14,7 +14,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector)
-from .geometry import Loop, _cyclic_overlaps
+from .geometry import Loop, _overlap_pass
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
@@ -139,15 +139,17 @@ def _fourier_basis(n: int, k: int) -> np.ndarray:
 
 
 def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
-    z = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T   # (n, m-1)
-    states = np.concatenate([np.ones((spec.n, 1), dtype=complex), z], axis=1)
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+    states = np.empty((spec.n, spec.m_dim), dtype=complex)
+    states[:, 0] = 1.0
+    states[:, 1:] = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
 
 
 def fourier_loop(spec: FourierLoopSpec) -> Loop:
     """Sample the Fourier-parametrized loop; reject ill-conditioned specs."""
     states = fourier_states(spec)
-    ovl = np.abs(_cyclic_overlaps(states))
+    ovl = np.abs(_overlap_pass(states)[1])
     if ovl.min() <= TOL.segment_overlap:
         raise DegenerateSpec(
             f"consecutive overlap {ovl.min():.3e} below {TOL.segment_overlap:.0e}")
@@ -187,8 +189,7 @@ def refine(loop: Loop, factor: int) -> Loop:
     if factor < 2:
         raise BadResolution("refinement factor must be >= 2")
     states = loop.states
-    nxt = np.roll(states, -1, axis=0)
-    ovl = _cyclic_overlaps(states)
+    nxt, ovl = _overlap_pass(states)
     if np.abs(ovl).min() <= TOL.segment_overlap:
         raise IllConditionedSegment("cannot refine across a near-orthogonal segment")
     aligned = nxt * np.exp(-1j * np.angle(ovl))[:, None]
@@ -234,8 +235,9 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     """
     n, m = states.shape
     a_key = _KEYS[m] if m in _KEYS else _key_matrix(m)
-    sq = np.einsum("ij,ij->i", states.conj(), states).real
-    key = np.einsum("ij,ij->i", states.conj(), states @ a_key.T).real / sq
+    conj = states.conj()
+    sq = np.einsum("ij,ij->i", conj, states).real
+    key = np.einsum("ij,ij->i", conj, states @ a_key.T).real / sq
     cos_tol = np.cos(tol)
     eps = np.finfo(float).eps
     # a computed |<a|b>| >= cos(tol) bounds the true cos d below by c
@@ -244,11 +246,12 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     width = np.sqrt(2.0) * sin_d + 32 * m * m * eps
     order = np.argsort(key)
     ranked = key[order]
-    counts = np.searchsorted(ranked, ranked + width, side="right") - np.arange(1, n + 1)
-    lows = np.flatnonzero(counts)
+    # a window pair (a, b) makes every sorted neighbour pair between them one
+    # too, so the rows that start a window are the neighbour hits: O(n)
+    lows = np.flatnonzero(ranked[1:] <= ranked[:-1] + width)
     if lows.size == 0:
         return np.empty((0, 2), dtype=np.intp)
-    counts = counts[lows]
+    counts = np.searchsorted(ranked, ranked[lows] + width, side="right") - lows - 1
     ends = np.cumsum(counts)
     codes = []
     first = 0
@@ -313,6 +316,9 @@ def _split_states(states: np.ndarray, tol: float, out: list):
     """
     n = states.shape[0]
     pairs = _coincidence_pairs(states, tol)
+    if pairs.size == 0:
+        out.append(states)
+        return
     rows, cols = pairs[:, 0], pairs[:, 1]
     # (members, first pair position, end position); LIFO keeps the cut piece first
     stack = [(np.arange(n), 0, rows.size)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DegenerateSpec, OutOfRange
-from .geometry import _berry_phase, _distance, loop_berry_phase, principal_phase
+from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
 from .loops import (FourierLoopSpec, _split_states, bloch_circle,
                     fourier_states, perturb_circle)
 
@@ -69,25 +69,21 @@ class SearchResult:
     margin_at_n: float
 
 
-def _margin_of_states(states: np.ndarray, tol: float = TOL.split) -> float:
-    """Minimum sub-loop strong-QII margin of a discretized loop."""
-    parts: list[np.ndarray] = []
-    _split_states(states, tol, parts)
-    best = np.inf
-    for p in parts:
-        d = _distance(p)
-        g = _berry_phase(p)
-        best = min(best, (abs(g) - np.pi) ** 2 + d**2 - np.pi**2)
-    return float(best)
-
-
 def qii_objective(spec: FourierLoopSpec) -> float:
-    """Strong-QII margin of a Fourier loop, split into simple sub-loops first."""
+    """Strong-QII margin of a Fourier loop, split into simple sub-loops first.
+
+    The cyclic overlaps of the full loop gate it and, when it does not
+    split, give its distance and phase as well.
+    """
     states = fourier_states(spec)
-    ovl = np.abs(np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0)))
-    if ovl.min() <= TOL.segment_overlap:
-        raise DegenerateSpec(f"consecutive overlap {ovl.min():.3e} too small")
-    return _margin_of_states(states)
+    overlaps = _overlap_pass(states)
+    low = np.abs(overlaps[1]).min()
+    if low <= TOL.segment_overlap:
+        raise DegenerateSpec(f"consecutive overlap {low:.3e} too small")
+    parts: list[np.ndarray] = []
+    _split_states(states, TOL.split, parts)
+    scalars = [_scalars(states, overlaps)] if parts[0] is states else map(_scalars, parts)
+    return float(min((abs(g) - np.pi) ** 2 + d**2 - np.pi**2 for d, g in scalars))
 
 
 def _spec_from_vector(x: np.ndarray, cfg: SearchConfig, n: int) -> FourierLoopSpec:
@@ -97,28 +93,25 @@ def _spec_from_vector(x: np.ndarray, cfg: SearchConfig, n: int) -> FourierLoopSp
 
 
 def _nelder_mead(fn, x0: np.ndarray, step: float, max_evals: int):
-    """Reflect/expand/contract/shrink simplex descent; returns
-    (best_x, best_f, evals_used)."""
+    """Reflect/expand/contract/shrink simplex descent that evaluates fn at
+    most max_evals times (at least d+1); returns (best_x, best_f, evals_used).
+    fn may get rows of the simplex array, which later steps overwrite."""
     d = len(x0)
-    simplex = [x0.copy()]
-    for i in range(d):
-        v = x0.copy()
-        v[i] += step
-        simplex.append(v)
-    fvals = [fn(v) for v in simplex]
+    simplex = np.tile(x0, (d + 1, 1))
+    simplex[1:][np.diag_indices(d)] += step
+    fvals = np.array([fn(v) for v in simplex])
     evals = d + 1
     while evals < max_evals:
         order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
+        simplex, fvals = simplex[order], fvals[order]
         if (fvals[-1] - fvals[0] < 1e-13
-                and max(np.abs(v - simplex[0]).max() for v in simplex[1:]) < 1e-10):
+                and np.abs(simplex[1:] - simplex[0]).max() < 1e-10):
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / d   # np.mean, without its overhead
         reflected = centroid + (centroid - simplex[-1])
         f_r = fn(reflected)
         evals += 1
-        if f_r < fvals[0]:
+        if f_r < fvals[0] and evals < max_evals:
             expanded = centroid + 2.0 * (centroid - simplex[-1])
             f_e = fn(expanded)
             evals += 1
@@ -128,18 +121,18 @@ def _nelder_mead(fn, x0: np.ndarray, step: float, max_evals: int):
                 simplex[-1], fvals[-1] = reflected, f_r
         elif f_r < fvals[-2]:
             simplex[-1], fvals[-1] = reflected, f_r
-        else:
+        elif evals < max_evals:
             contracted = centroid + 0.5 * (simplex[-1] - centroid)
             f_c = fn(contracted)
             evals += 1
             if f_c < fvals[-1]:
                 simplex[-1], fvals[-1] = contracted, f_c
             else:
-                # shrink toward the best vertex
-                for i in range(1, d + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = fn(simplex[i])
-                evals += d
+                # shrink toward the best vertex, as far as the budget lets
+                k = min(d, max_evals - evals)
+                simplex[1:k + 1] = simplex[0] + 0.5 * (simplex[1:k + 1] - simplex[0])
+                fvals[1:k + 1] = [fn(v) for v in simplex[1:k + 1]]
+                evals += k
     best = int(np.argmin(fvals))
     return simplex[best], fvals[best], evals
 
@@ -160,7 +153,7 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
         if np.abs(x).max() > cfg.coeff_bound:
             return _PENALTY * (1.0 + np.abs(x).max() - cfg.coeff_bound)
         try:
-            return _margin_of_states(fourier_states(_spec_from_vector(x, cfg, cfg.n)))
+            return qii_objective(_spec_from_vector(x, cfg, cfg.n))
         except DegenerateSpec:
             return _PENALTY
 

@@ -5,7 +5,9 @@ distances come from scalar math.acos loops, Berry phases from the raw
 complex product, spherical areas from l'Huilier's formula, and two-level
 dynamics from the closed-form matrix exponential.  The band-structure
 oracles evaluate one k point at a time, through the model's Hamiltonian
-and the generic chart path, never through the batched k-array code.
+and the generic chart path, never through the batched k-array code.  The np.roll overlap pass, the
+Gram-matrix splitter and the list-based simplex are earlier
+implementations, kept so the current ones can be held to them bit for bit.
 """
 
 import cmath
@@ -146,3 +148,74 @@ def chart_metric_grid(spec, band, ks) -> np.ndarray:
     from qii.models import band_chart
     chart = band_chart(spec, band)
     return np.array([qgt_at(chart, np.atleast_1d(k), richardson=False).g for k in ks])
+
+
+def roll_distance(states) -> float:
+    """Chord sum with the successor rows from np.roll and its own overlap pass."""
+    nxt = np.roll(states, -1, axis=0)
+    ovl = np.einsum("ij,ij->i", states.conj(), nxt)
+    residual = nxt - states * ovl[:, None]
+    sin = np.linalg.norm(residual, axis=1)
+    return float(np.arctan2(sin, np.abs(ovl)).sum())
+
+
+def roll_berry_phase(states) -> float:
+    """Summed segment angles of the np.roll overlaps, with their own
+    ill-conditioned gate; the phase convention is principal_phase's."""
+    from qii.errors import IllConditionedSegment
+    from qii.geometry import principal_phase
+    ovl = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
+    small = np.abs(ovl)
+    if small.min() < 1e-9:
+        raise IllConditionedSegment(f"overlap {small.min():.3e} too small")
+    return principal_phase(-float(np.angle(ovl).sum()))
+
+
+def list_nelder_mead(fn, x0, step, max_evals):
+    """Simplex descent on a Python list of vertices, re-ordered every step.
+
+    Tests the budget only before a step, so one step may run past
+    max_evals by up to d evaluations.
+    """
+    d = len(x0)
+    simplex = [x0.copy()]
+    for i in range(d):
+        v = x0.copy()
+        v[i] += step
+        simplex.append(v)
+    fvals = [fn(v) for v in simplex]
+    evals = d + 1
+    while evals < max_evals:
+        order = np.argsort(fvals)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        if (fvals[-1] - fvals[0] < 1e-13
+                and max(np.abs(v - simplex[0]).max() for v in simplex[1:]) < 1e-10):
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_r = fn(reflected)
+        evals += 1
+        if f_r < fvals[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_e = fn(expanded)
+            evals += 1
+            if f_e < f_r:
+                simplex[-1], fvals[-1] = expanded, f_e
+            else:
+                simplex[-1], fvals[-1] = reflected, f_r
+        elif f_r < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            f_c = fn(contracted)
+            evals += 1
+            if f_c < fvals[-1]:
+                simplex[-1], fvals[-1] = contracted, f_c
+            else:
+                for i in range(1, d + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    fvals[i] = fn(simplex[i])
+                evals += d
+    best = int(np.argmin(fvals))
+    return simplex[best], fvals[best], evals

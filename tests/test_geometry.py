@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import brute_berry_phase, brute_distance, cap_area
+from oracles import (brute_berry_phase, brute_distance, cap_area,
+                     roll_berry_phase, roll_distance)
 from qii.config import TOL
 from qii.errors import IllConditionedSegment, WrongDimension
-from qii.geometry import (Chart, Loop, bloch_solid_angle, bloch_vectors,
+from qii.geometry import (Chart, Loop, _scalars, bloch_solid_angle, bloch_vectors,
                           loop_berry_phase, loop_distance, principal_phase,
                           qgt_at, segment_distance, summarize)
-from qii.loops import bloch_circle, bloch_states, great_circle, random_fourier_spec, fourier_loop
+from qii.loops import (bloch_circle, bloch_states, fourier_loop, fourier_states,
+                       great_circle, random_fourier_spec)
 
 
 def _constant_loop(n=16, m=2):
@@ -189,6 +191,46 @@ def test_summarize_quarter_circle():
     s = summarize(bloch_circle(theta, 2048))
     assert s.d_fs == pytest.approx(np.pi * np.sin(theta), abs=1e-5)
     assert abs(s.gamma_b) == pytest.approx(np.pi * (1 - np.cos(theta)), abs=1e-5)
+
+
+def _scalar_cases():
+    for m in (2, 3, 4):
+        for seed in range(4):
+            yield fourier_states(random_fourier_spec(m, 2, 256 + 64 * seed, 100 * m + seed))
+    for turns in (2, 3, 8):
+        for per_turn in (4, 16, 64):
+            yield great_circle([1.0, 0.3, -0.2], per_turn * turns, turns=turns).states
+
+
+def _roll_summary(states):
+    d, g = roll_distance(states), roll_berry_phase(states)
+    half = states[::2]
+    try:
+        est = max(abs(d - roll_distance(half)),
+                  abs(principal_phase(g - roll_berry_phase(half), guard=0.0)))
+    except IllConditionedSegment:
+        est = abs(d - roll_distance(half))
+    return d, g, est
+
+
+def test_one_pass_scalars_match_roll_oracle_bit_for_bit():
+    # the fused (d, gamma) pass equals separate np.roll passes exactly, on
+    # random Fourier loops, multi-turn great circles and their [::2] halves;
+    # 4 samples a turn makes the halves join orthogonal states
+    fallbacks = 0
+    for states in _scalar_cases():
+        for arr in (states, states[::2]):
+            try:
+                want = (roll_distance(arr), roll_berry_phase(arr))
+            except IllConditionedSegment:
+                with pytest.raises(IllConditionedSegment):
+                    _scalars(arr)
+                fallbacks += 1
+                continue
+            assert _scalars(arr) == want
+        s = summarize(Loop(states))
+        assert (s.d_fs, s.gamma_b, s.convergence_est) == _roll_summary(states)
+    assert fallbacks == 3
 
 
 # --- qgt_at ---

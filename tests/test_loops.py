@@ -9,8 +9,9 @@ from qii.config import TOL
 from qii.errors import BadResolution, DegenerateSpec, EmptyInput, OutOfRange
 from qii.geometry import (Loop, bloch_solid_angle, loop_berry_phase,
                           loop_distance, summarize)
-from qii.loops import (FourierLoopSpec, _coincidence_pairs, bloch_circle,
-                       bloch_states, fourier_loop, great_circle, load_loop,
+from qii.loops import (FourierLoopSpec, _coincidence_pairs, _fourier_basis,
+                       _split_states, bloch_circle, bloch_states, fourier_loop,
+                       fourier_states, great_circle, load_loop,
                        perturb_circle, random_fourier_spec, refine, save_loop,
                        spherical_polygon, split_self_intersections)
 from qii.models import fermi_surface_loop, rhombohedral
@@ -282,6 +283,56 @@ def test_split_matches_gram_oracle_fermi_surface(n_layers):
     for nk in (128, 512):
         loop, _ = fermi_surface_loop(rhombohedral(n_layers), 1.3, nk)
         _assert_matches_gram(loop.states)
+
+
+def _equator_and_meridian(delta, n=16):
+    """Equator samples, then a meridian that crosses the equator at Bloch
+    azimuth delta past samples n/4 and 3n/4: two non-adjacent pairs at
+    projective distance delta / 2, all other pairs far apart."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.concatenate([bloch_states(np.pi / 2, t),
+                           bloch_states(np.pi / 2 - t, np.full(n, t[n // 4] + delta))])
+
+
+@pytest.mark.parametrize("tol, ratios", [(1e-7, (0.5, 2.0, 1e3)),
+                                         (1e-3, (0.99, 1.01, 30.0)),
+                                         (0.05, (0.99, 1.01, 1.5))])
+def test_pairs_near_the_window_match_gram_oracle(monkeypatch, tol, ratios):
+    # the closest non-adjacent pair just inside and just outside tol, and
+    # (at the split tolerance) far enough out that no sorted key neighbours
+    # share a window: both sides of the O(n) no-pair exit match the oracle
+    sorted_lookups = []
+    searchsorted = np.searchsorted
+
+    def spy(*args, **kwargs):
+        sorted_lookups.append(1)
+        return searchsorted(*args, **kwargs)
+
+    exits = set()
+    for ratio in ratios + (None,):
+        states = (bloch_circle(np.pi / 3, 64).states if ratio is None
+                  else _equator_and_meridian(2.0 * ratio * tol))
+        sorted_lookups.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", spy)
+            pairs = _coincidence_pairs(states, tol)
+        exits.add(not sorted_lookups)
+        assert (len(pairs) == 2) == (ratio is not None and ratio < 1.0)
+        _assert_matches_gram(states, tol)
+        parts = []
+        _split_states(states, tol, parts)
+        assert (parts[0] is states) == (len(pairs) == 0)
+    if tol == TOL.split:
+        assert exits == {True, False}
+
+
+def test_fourier_states_match_concatenated_rows():
+    for m in (2, 3, 4):
+        spec = random_fourier_spec(m, 2, 256, m)
+        z = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
+        rows = np.concatenate([np.ones((spec.n, 1), dtype=complex), z], axis=1)
+        want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        np.testing.assert_array_equal(fourier_states(spec), want)
 
 
 def test_split_thousand_turns_iteratively():

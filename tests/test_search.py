@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from oracles import list_nelder_mead
+from qii import search
 from qii.config import TOL
-from qii.errors import OutOfRange
-from qii.loops import FourierLoopSpec, random_fourier_spec
+from qii.errors import DegenerateSpec, OutOfRange
+from qii.loops import FourierLoopSpec, _split_states, fourier_states, random_fourier_spec
 from qii.search import (SearchConfig, extremality_scan,
                         minimize_margin, qii_objective)
 
@@ -50,12 +54,134 @@ def test_search_config_validation():
         SearchConfig(m_dim=2, budget=10)
 
 
+def test_objective_forms_cyclic_overlaps_once(monkeypatch):
+    # a guard against a second overlap pass on an unsplit loop: count the
+    # einsum calls that pair each state with its cyclic successor
+    spec = random_fourier_spec(3, 2, 256, 4)
+    states = fourier_states(spec)
+    parts = []
+    _split_states(states, TOL.split, parts)
+    assert len(parts) == 1
+    passes = []
+    einsum = np.einsum
+
+    def spy(subscripts, *ops, **kwargs):
+        if (subscripts == "ij,ij->i" and ops[0].shape == states.shape
+                and np.array_equal(ops[1], np.roll(ops[0].conj(), -1, axis=0))):
+            passes.append(1)
+        return einsum(subscripts, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    qii_objective(spec)
+    assert len(passes) == 1
+
+
+def _orthogonal_step(cfg):
+    """Search vector of a k = 1 loop with z(0) = 1 and z(2 pi / n) = -1:
+    its first two states are orthogonal."""
+    w = np.exp(2j * np.pi / cfg.n)
+    c_minus, c_plus = np.linalg.solve([[1, 1], [1 / w, w]], [1, -1])
+    coeffs = np.array([c_minus, 0.0, c_plus])
+    return np.concatenate([coeffs.real, coeffs.imag])
+
+
+def test_search_scores_a_degenerate_spec_as_penalty(monkeypatch):
+    cfg = SearchConfig(m_dim=2, k=1, n=16, budget=100, restarts=1, coeff_bound=3.0)
+    x = _orthogonal_step(cfg)
+    assert np.abs(x).max() < cfg.coeff_bound
+    with pytest.raises(DegenerateSpec):
+        qii_objective(search._spec_from_vector(x, cfg, cfg.n))
+    seen = []
+    monkeypatch.setattr(search, "_nelder_mead",
+                        lambda fn, x0, step, max_evals: seen.append(fn(x)))
+    minimize_margin(cfg)
+    assert seen == [search._PENALTY]
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _kinked(x):
+    return float(np.abs(x - 0.3).sum() + 0.1 * np.abs(x).max())
+
+
+def _bowl(x):
+    return float(x @ x)
+
+
+def _trajectory(minimizer, fn, x0, max_evals):
+    calls = []
+
+    def recording(x):
+        val = fn(x)
+        calls.append((x.tobytes(), val))
+        return val
+    best_x, best_f, evals = minimizer(recording, x0.copy(), 0.1, max_evals)
+    return calls, (best_x.tobytes(), float(best_f), evals)
+
+
+@pytest.mark.parametrize("fn", [_rosenbrock, _kinked, _bowl])
+def test_nelder_mead_matches_list_oracle(fn):
+    # the array simplex evaluates the same points in the same order as the
+    # list-based one, stops exactly at max_evals, and returns the same
+    # result whenever the oracle did not run past its budget
+    x0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=3)
+    for max_evals in list(range(5, 160)) + [600, 5000]:
+        got, got_result = _trajectory(search._nelder_mead, fn, x0, max_evals)
+        want, want_result = _trajectory(list_nelder_mead, fn, x0, max_evals)
+        assert len(got) == got_result[2] == min(len(want), max_evals)
+        assert got == want[:len(got)]
+        if len(want) <= max_evals:
+            assert got_result == want_result
+
+
+def test_nelder_mead_converges_before_budget():
+    _, (_, best_f, evals) = _trajectory(search._nelder_mead, _bowl, np.ones(2), 5000)
+    assert evals < 5000 and best_f < 1e-18
+
+
+# best margin, margin at n, history length and sha256 of repr(history),
+# recorded before the array simplex and the fused overlap pass
+_PINNED = {
+    0: (0.04739613131710563, 59,
+        "e31bae06ec249b4f3eb020ac124df6228df950f5ee8eec40c0d6289ff9296da3"),
+    1: (0.0023117783091564093, 51,
+        "b6c88c1963433812a44d66edd4895a508c0b69db017b8913faf238f8a81e33df"),
+    2: (0.011207190316222082, 52,
+        "77069b695f5b165eb4612ee319b7aaa3dd5e055b46238044d9e80744aa3e9581"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED))
+def test_search_results_pinned(seed):
+    cfg = SearchConfig(m_dim=3, k=1, n=64, budget=300, restarts=2, seed=seed)
+    res = minimize_margin(cfg)
+    best, length, digest = _PINNED[seed]
+    assert res.best_margin == res.margin_at_n == best
+    assert len(res.history) == length
+    assert hashlib.sha256(repr(res.history).encode()).hexdigest() == digest
+    assert res.evals == cfg.budget and res.status == "budget_exhausted"
+
+
 def test_search_two_band_finds_circles():
     cfg = SearchConfig(m_dim=2, k=1, n=128, budget=4000, restarts=4, seed=7)
     res = minimize_margin(cfg)
     assert res.best_margin >= -TOL.violation
     assert not res.violation
-    assert res.evals <= cfg.budget + cfg.dims
+    # every restart converges first here (3258 evaluations), so the budget is
+    # an upper bound that an exhausted search meets exactly
+    assert res.evals <= cfg.budget
+    assert (res.status == "budget_exhausted") == (res.evals == cfg.budget)
+
+
+def test_search_stops_exactly_at_budget():
+    # seed 7 at budget 2500 once ended on a step that evaluated 2501 times
+    cfg = SearchConfig(m_dim=3, k=2, n=256, budget=2500, restarts=5, seed=7)
+    res = minimize_margin(cfg)
+    assert not res.violation
+    assert res.evals == cfg.budget and res.status == "budget_exhausted"
+    assert max(e for e, _ in res.history) <= cfg.budget
 
 
 def test_search_five_band_no_violation():
