@@ -259,7 +259,7 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
         return BoundChain(entries=(
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
-    upper = np.linalg.norm(bloch(spec, bz_grid(spec, 64)), axis=1)   # E_+ = |n(k)|
+    upper = np.hypot.reduce(bloch(spec, bz_grid(spec, 64)), axis=1)   # E_+ = |n(k)|
     if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
     integral = wannier_omega1(spec, "lower", n_k) * 2.0 * np.pi / spec.a

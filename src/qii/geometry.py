@@ -60,7 +60,8 @@ class Loop:
         ovl = np.abs(_overlap_pass(arr)[1])
         if ovl.min() <= TOL.segment_overlap:
             raise IllConditionedSegment(
-                f"consecutive overlap {ovl.min():.3e} at segment {int(ovl.argmin())}")
+                f"consecutive overlap {ovl.min():.3e} below {TOL.segment_overlap:.0e} "
+                f"at segment {int(ovl.argmin())}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)

@@ -148,12 +148,10 @@ def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
 
 def fourier_loop(spec: FourierLoopSpec) -> Loop:
     """Sample the Fourier-parametrized loop; reject ill-conditioned specs."""
-    states = fourier_states(spec)
-    ovl = np.abs(_overlap_pass(states)[1])
-    if ovl.min() <= TOL.segment_overlap:
-        raise DegenerateSpec(
-            f"consecutive overlap {ovl.min():.3e} below {TOL.segment_overlap:.0e}")
-    return Loop(states)
+    try:
+        return Loop(fourier_states(spec))
+    except IllConditionedSegment as exc:   # n >= 8 rows: a near-orthogonal segment
+        raise DegenerateSpec(str(exc)) from None
 
 
 def random_fourier_spec(m_dim: int, k: int, n: int, rng, scale: float = 0.6) -> FourierLoopSpec:

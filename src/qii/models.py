@@ -5,7 +5,8 @@ N-layer rhombohedral continuum model with off-diagonal (kx - i ky)^N,
 and the gapless 2D Dirac cone.  Custom two-band models enter either as
 smooth Bloch-vector Fourier series or as tabulated Bloch vectors on a
 k-grid (periodic linear interpolation), including from JSON/CSV files.
-Each kind is one `_KINDS` entry; states and metrics come for all k at once.
+Each kind is one `_KINDS` entry; states and metrics come for all k at once,
+in closed form from the Bloch vectors (no eigendecomposition).
 """
 
 import csv
@@ -16,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .config import TOL
-from .core import eigh, gauge_fix
+# band states do not call eigh; it stays bound here because bench/run.py
+# traces models.eigh as a layer and a test counts its calls
+from .core import eigh  # noqa: F401
 from .errors import (DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
                      OutOfRange, SingularAtDiracPoint, WrongDimension)
 from .geometry import PAULI, Chart, Loop
@@ -162,6 +165,12 @@ def _dirac_bloch(spec, ks):
     return spec.params["v_f"] * np.stack([ks[:, 0], ks[:, 1], 0 * ks[:, 0]], axis=1)
 
 
+def _norm(v):
+    """Euclidean norm over the last axis of 3-vectors; hypot does not overflow
+    where the sum of squares would (|v| past about 1e154)."""
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
 @dataclass(frozen=True)
 class _Kind:
     dim_k: int
@@ -179,10 +188,9 @@ _KINDS = {
                     lambda p: 2.0 * abs(p["t"]), chiral=PAULI[1]),
     "fourier_bloch": _Kind(
         1, lambda p, a: fourier_bloch(p["const"], p["cos"], p["sin"], a), _fourier_bloch,
-        lambda p: float(np.linalg.norm(p["const"]) + np.abs(p["cos"]).sum()
-                        + np.abs(p["sin"]).sum())),
+        lambda p: float(_norm(p["const"]) + np.abs(p["cos"]).sum() + np.abs(p["sin"]).sum())),
     "table": _Kind(1, lambda p, a: bloch_table(p["k"], p["vectors"], a), _table_bloch,
-                   lambda p: float(np.linalg.norm(p["vectors"], axis=1).max())),
+                   lambda p: float(_norm(p["vectors"]).max())),
     "rhombohedral": _Kind(
         2, lambda p, a: rhombohedral(p["n_layers"], p.get("scale", 1.0), a),
         _rhombohedral_bloch, lambda p: abs(p["scale"]), chiral=PAULI[2],
@@ -247,15 +255,37 @@ def _check_gap(spec: ModelSpec, ks, gap, e_max):
 def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
     """Normalized gauge-fixed eigenstates of one band at each k, shape (n, 2).
 
-    One batched eigendecomposition of the (n, 2, 2) stack n(k).sigma.
-    Raises DegenerateAtTolerance at the first gap closing (e.g. the Dirac
-    point, or the SSH critical point v = w at k a = pi).
+    Closed form from the Bloch vector n = r (sin t cos p, sin t sin p, cos t):
+    the upper band of n.sigma is (cos t/2, e^{ip} sin t/2), the lower band
+    (sin t/2, -e^{ip} cos t/2), with e^{ip} = 1 on the poles.  The global
+    phase makes the first entry above TOL.gauge_zero in modulus real
+    positive, as core.gauge_fix does.  Raises DegenerateAtTolerance at the
+    first gap closing (e.g. the Dirac point, or the SSH critical point v = w
+    at k a = pi).
     """
     idx = _BAND_INDEX[band]
     ks = np.asarray(ks, dtype=float)
-    vals, vecs = eigh(np.einsum("ni,ijk->njk", bloch(spec, ks), PAULI))
-    _check_gap(spec, ks, vals[:, 1] - vals[:, 0], np.abs(vals).max(axis=1))
-    return gauge_fix(vecs[:, idx])
+    x, y, z = bloch(spec, ks).T
+    rho = np.hypot(x, y)
+    r = np.hypot(rho, z)
+    _check_gap(spec, ks, 2.0 * r, r)   # eigenvalues -+r
+    if not np.all(np.isfinite(r)):
+        raise ValueError("vector has non-finite entries")
+    # (r + |z|) / 2 and (r - |z|) / 2 = rho^2 / (2 (r + |z|)), free of
+    # cancellation and overflow; r > 0 past the gate
+    big = 0.5 * r + 0.5 * np.abs(z)
+    small = (0.5 * rho) * (0.5 * rho / big)
+    north = z >= 0.0
+    cos = np.sqrt(np.where(north, big, small) / r)
+    sin = np.sqrt(np.where(north, small, big) / r)
+    phase = np.ones(len(r), dtype=complex)
+    np.divide(x + 1j * y, rho, out=phase, where=rho > 0.0)
+    a, b = (sin, -cos) if idx == 0 else (cos, sin)   # state (a, e^{ip} b)
+    lead = a > TOL.gauge_zero   # else the second entry is made real positive
+    states = np.empty((len(r), 2), dtype=complex)
+    states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
+    states[:, 1] = np.where(lead, phase * b, np.abs(b))
+    return states
 
 
 def band_state(spec: ModelSpec, k, band: str = "lower") -> np.ndarray:
@@ -273,7 +303,7 @@ def band_chart(spec: ModelSpec, band: str = "lower",
 
 def _unit_bloch(spec: ModelSpec, ks) -> np.ndarray:
     n = bloch(spec, ks)
-    norm = np.linalg.norm(n, axis=1)
+    norm = _norm(n)
     _check_gap(spec, ks, 2.0 * norm, norm)   # eigenvalues -+|n|
     return n / norm[:, None]
 
@@ -284,15 +314,18 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     With P = (1 -+ n^.sigma) / 2, g_mn = Re Tr[dP_m dP_n] / 2 =
     (1/4) d_m n^ . d_n n^ for both bands (Provost & Vallee, Commun. Math.
     Phys. 76, 289 (1980)).  Central differences of n^ at TOL.fd_step, so the
-    values equal qgt_at(band_chart(spec, band), k).g to rounding; a gap
-    closing at k or k +- TOL.fd_step raises DegenerateAtTolerance.
+    values equal qgt_at(band_chart(spec, band), k).g to rounding.  One Bloch
+    evaluation on the stacked k, k + e_1, k - e_1 [, k + e_2, k - e_2]; a gap
+    closing at any of them raises DegenerateAtTolerance naming the first in
+    that order.
     """
     _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
     ks = np.asarray(ks, dtype=float)
-    _unit_bloch(spec, ks)   # the gap gate at k itself
     h = TOL.fd_step
-    dn = np.stack([(_unit_bloch(spec, ks + e) - _unit_bloch(spec, ks - e)) / (2.0 * h)
-                   for e in ([h] if spec.dim_k == 1 else np.eye(2) * h)], axis=1)
+    steps = [h] if spec.dim_k == 1 else list(np.eye(2) * h)
+    stacked = np.concatenate([ks] + [ks + sign * e for e in steps for sign in (1, -1)])
+    unit = _unit_bloch(spec, stacked).reshape(1 + 2 * len(steps), len(ks), 3)
+    dn = ((unit[1::2] - unit[2::2]) / (2.0 * h)).swapaxes(0, 1)
     if not np.all(np.isfinite(dn)):
         raise NonFiniteDerivative("non-finite Bloch-vector difference")
     return 0.25 * np.einsum("nmi,nli->nml", dn, dn)

@@ -8,10 +8,13 @@ from qii.applications import (adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
+from qii.core import eigh
 from qii.errors import NotCyclic, OutOfRange
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
-from qii.models import bz_grid, creutz, dirac, hamiltonian, rhombohedral, ssh
+from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
+                        fermi_surface_loop, fourier_bloch, hamiltonian, metric_grid,
+                        rhombohedral, ssh)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -286,3 +289,46 @@ def test_chains_make_no_per_k_calls(monkeypatch):
             chain(n)
             counts.append(dict(calls))
         assert counts[0] == counts[1] and counts[1]["eigh"] <= 2 and counts[1]["qgt_at"] == 0
+
+
+def test_band_paths_never_call_eigh(monkeypatch):
+    # the two-band states and metrics are closed forms of the Bloch vector
+    calls = []
+    numpy_eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return numpy_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    spec, flat = random_gapped_bloch_spec(5), rhombohedral(2)
+    ks = bz_grid(spec, 64)
+    band_states(spec, ks, "upper")
+    bz_loop(spec, "lower", 64)
+    fermi_surface_loop(flat, 1.0, 64)
+    metric_grid(spec, "lower", ks)
+    metric_grid(flat, "upper", np.c_[ks, ks[::-1]])
+    wannier_bound_chain(spec, n_k=64)
+    superfluid_weight_1d(spec, 1.0, 0.5, n_k=64)
+    eph_bound_chain(flat, 1.0, 64)
+    assert calls == []
+    eigh(hamiltonian(spec, 0.3))   # the generic path still goes through the spy
+    assert calls == [1]
+
+
+_K64 = np.linspace(0.05, 2 * np.pi, 64, endpoint=False)
+_TABLE = np.c_[0.5 + np.cos(_K64), np.sin(_K64), 0.3 * np.cos(2 * _K64)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: fourier_bloch([0, 0, 2 * s], [[s, 0, 0]], [[0, s, 0]]),
+    lambda s: bloch_table(_K64, s * _TABLE),
+], ids=["fourier_bloch", "table"])
+def test_chains_do_not_overflow_past_1e154(build):
+    # |n| past about 1e154 overflows a sum of squares; the chains depend on
+    # the direction of n(k) only
+    for chain in (lambda m: wannier_bound_chain(m, n_k=64),
+                  lambda m: superfluid_weight_1d(m, 1.0, 0.5, n_k=64)):
+        big, small = chain(build(1e200)), chain(build(1.0))
+        np.testing.assert_allclose(big.values, small.values, rtol=1e-12)
+        assert big.notes == small.notes

@@ -1,10 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from qii import cli
+from qii import cli, geometry, loops
 from qii.applications import BoundChain
 from qii.cli import main
 from qii.loops import load_loop
@@ -49,6 +50,22 @@ def test_strong_verify_summarizes_an_unsplit_loop_once(monkeypatch):
     assert any(r[-1] == 1 for r in rows)
     # one summary per loop, plus one per sub-loop of a loop that splits
     assert len(calls) == sum(1 if r[-1] == 1 else 1 + r[-1] for r in rows)
+
+
+def test_weak_verify_makes_three_overlap_passes_a_row(monkeypatch):
+    # Loop's segment gate, summarize's full loop and its half-resolution
+    # estimate; fourier_loop gates through Loop instead of a pass of its own
+    calls = []
+    overlap_pass = geometry._overlap_pass
+
+    def spy(states):
+        calls.append(1)
+        return overlap_pass(states)
+
+    monkeypatch.setattr(geometry, "_overlap_pass", spy)
+    monkeypatch.setattr(loops, "_overlap_pass", spy)
+    rows = cli.run_weak_suite(3, 10, 2, 2048, 0)
+    assert len(calls) == 3 * len(rows) == 30
 
 
 def test_verify_single_band_usage_error(tmp_path):
@@ -217,6 +234,22 @@ def test_apps_chain_rising_by_1e4_of_its_maximum_fails(tmp_path, monkeypatch):
     assert main(["apps", "--app", "eph", "--model", "rhombohedral", "--layers", "5",
                  "--out", str(out)]) == 2
     assert json.loads((out / "report.json").read_text())["monotone"] is False
+
+
+def test_apps_model_past_1e154_matches_the_unscaled_model(tmp_path, capsys):
+    lines = []
+    for scale in (1e200, 1.0):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"kind": "fourier_bloch", "parameters": {
+            "const": [0, 0, 2 * scale], "cos": [[scale, 0, 0]], "sin": [[0, scale, 0]]}}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["apps", "--app", "wannier", "--model-json", str(cfg), "--nk", "64",
+                         "--out", str(tmp_path / "a")])
+        assert code == 0 and seen == []
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("apps/wannier: 0.0499999998 >= 0.0499678744 >= ")
 
 
 # --- search ---

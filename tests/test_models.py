@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import chart_metric_grid, per_k_band_states
+from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
 from qii.geometry import (PAULI, bloch_vectors, loop_berry_phase,
@@ -320,6 +321,69 @@ def test_batched_gap_closing_raises(spec, ks, where):
         with pytest.raises(DegenerateAtTolerance) as info:
             run()
         assert where in str(info.value)   # the first offending k
+
+
+# --- closed-form band states at the edges ---
+
+_RING = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+
+
+def _ring_models(rho, z):
+    """A table and a Fourier model, both with n(k) = 3 (rho cos k, rho sin k, z)
+    on the _RING points."""
+    return [bloch_table(_RING, 3.0 * np.c_[rho * np.cos(_RING), rho * np.sin(_RING),
+                                           np.full(_RING.size, z)]),
+            fourier_bloch([0.0, 0.0, 3.0 * z], [[3.0 * rho, 0.0, 0.0]], [[0.0, 3.0 * rho, 0.0]])]
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-16, 1e-12, 1e-9])
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_band_states_near_the_poles_match_per_k_eigh(rho, pole, band):
+    for spec in _ring_models(rho, pole * np.sqrt(1.0 - rho**2)):
+        states = band_states(spec, _RING, band)
+        np.testing.assert_allclose(states, per_k_band_states(spec, _RING, band), atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("band, pole", [("upper", -1.0), ("lower", 1.0)])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_band_states_gauge_threshold(band, pole, factor):
+    # the band's first entry is about rho / 2 there: just above
+    # TOL.gauge_zero it is made real positive, just below the second one is
+    for spec in _ring_models(2.0 * TOL.gauge_zero * factor, pole):
+        states = band_states(spec, _RING, band)
+        np.testing.assert_allclose(states, per_k_band_states(spec, _RING, band), atol=1e-14)
+        lead = states[:, 0] if factor > 1 else states[:, 1]
+        assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+        assert np.all((np.abs(states[:, 0]) > TOL.gauge_zero) == (factor > 1))
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda band: band_states(ssh(1.0, 1.0), _RING, band),
+     "gap 2.449e-16 at k = 3.141592653589793 below 1e-09 * model scale"),
+    (lambda band: band_states(dirac(1.0), [[1.0, 0.5], [0.0, 0.0], [0.0, 0.0]], band),
+     "gap 0.000e+00 at k = [0. 0.] below 1e-09 * model scale"),
+    (lambda band: metric_grid(ssh(1.0, 1.0), band, _RING),
+     "gap 2.449e-16 at k = 3.141592653589793 below 1e-09 * model scale"),
+    # gapped at both k; closed at k[1] + h e_x and at k[0] - h e_y: the
+    # k + e_1 rows come first
+    (lambda band: metric_grid(dirac(1.0), band, np.array([[3e-12, TOL.fd_step],
+                                                         [-TOL.fd_step, 1e-12]])),
+     "gap 2.000e-12 at k = [0.e+00 1.e-12] below 1e-09 * model scale"),
+])
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_gap_gate_names_the_first_closing(run, message, band):
+    # the messages are the ones the eigh-based band states gave
+    with pytest.raises(DegenerateAtTolerance) as info:
+        run(band)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, k", [(ssh(0.5, 1.0), np.nan), (dirac(1.0), [np.nan, 1.0])])
+def test_band_states_reject_non_finite_bloch_vectors(spec, k):
+    with pytest.raises(ValueError, match="non-finite"):
+        band_state(spec, k)
 
 
 # --- model_from_json ---
