@@ -45,7 +45,11 @@ class BoundChain:
         v = self.values
         return float(np.diff(v).max()) if len(v) > 1 else 0.0
 
-    def is_monotone(self, tol: float = 1e-6) -> bool:
+    def is_monotone(self, tol: float | None = None) -> bool:
+        """No rise above tol, by default 1e-6 * max(1, max |value|): central
+        differences leave ~1e-8 relative rises on chains of magnitude ~40."""
+        if tol is None:
+            tol = TOL.saturation_floor * float(np.abs(self.values).max(initial=1.0))
         return self.max_rise() <= tol
 
     def is_saturated(self, tol: float = 1e-6) -> bool:

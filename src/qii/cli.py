@@ -22,11 +22,9 @@ import numpy as np
 from . import __version__
 from .applications import (adiabatic_cone_demo, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
-from .config import TOL
 from .errors import DegenerateSpec, QiiError
 from .geometry import Loop, bloch_solid_angle, loop_distance, summarize
-from .inequalities import (plane_check, sphere_check, strong_qii, tol_for,
-                           weak_qii)
+from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (bloch_circle, fourier_loop, great_circle, load_loop,
                     min_resolution, random_fourier_spec, save_loop,
                     spherical_polygon, split_self_intersections)
@@ -93,19 +91,28 @@ def _loop_for_index(m, k, n, seed, index):
     raise DegenerateSpec(f"no valid loop for index {index} after 16 retries")
 
 
+class _Row(list):
+    """One margins.csv row; its verdict rides along but is not a column."""
+    violated = False
+
+
 def _verify_rows(params):
     m, k, n, seed, indices, strong = params
     rows = []
     for i in indices:
         _, loop = _loop_for_index(m, k, n, seed, i)
         s = summarize(loop)
-        row = [i, s.d_fs, s.gamma_b, s.d_fs - s.gamma_b,
-               s.d_fs - abs(s.gamma_b), s.convergence_est]
+        weak = weak_qii(s)
+        row = _Row([i, s.d_fs, s.gamma_b, weak.margin, weak.inputs["margin_abs"],
+                    s.convergence_est])
+        reports = [weak]
         if strong:
             parts = split_self_intersections(loop)
             subs = [s] if parts[0] is loop else map(summarize, parts)
-            row += [min(strong_qii(p, conjecture=(m > 2 or len(parts) > 1)).margin
-                        for p in subs), len(parts)]
+            strongs = [strong_qii(p, conjecture=(m > 2 or len(parts) > 1)) for p in subs]
+            row += [min(r.margin for r in strongs), len(parts)]
+            reports += strongs
+        row.violated = any(r.violated for r in reports)
         rows.append(row)
     return rows
 
@@ -136,16 +143,11 @@ def _cmd_verify(args) -> int:
     if args.strong:
         header += ["strong_margin", "n_subloops"]
     _write_csv(out / "margins.csv", header, rows)
-    weak_min = min(r[3] for r in rows)
-    bad = [r for r in rows if r[3] < -TOL.saturation_floor]
-    if args.strong:
-        bad += [r for r in rows
-                if r[6] < -max(TOL.saturation_floor, 10.0 * r[5])]
     print(f"verify: m={args.m} loops={args.loops} n={args.n} seed={args.seed} "
-          f"min weak margin {weak_min:.3e}")
-    if bad:
-        index = int(bad[0][0])
-        spec, loop = _loop_for_index(args.m, args.k, args.n, args.seed, index)
+          f"min weak margin {min(r[3] for r in rows):.3e}")
+    index = next((r[0] for r in rows if r.violated), None)
+    if index is not None:
+        _, loop = _loop_for_index(args.m, args.k, args.n, args.seed, index)
         save_loop(out / "violation_loop.csv", loop, generator="fourier-random",
                   parameters={"k": args.k, "index": index}, seed=args.seed)
         print(f"verify: VIOLATION at loop {index}; serialized to "
@@ -243,11 +245,11 @@ def _cmd_models(args) -> int:
     parts = split_self_intersections(loop)
     summaries = [summarize(p) for p in parts]
     rows = []
-    worst = np.inf
+    violated = False
     for i, s in enumerate(summaries):
         wrep = weak_qii(s)
         srep = strong_qii(s, conjecture=len(parts) > 1)
-        worst = min(worst, wrep.margin + tol_for(s))
+        violated |= wrep.violated or srep.violated
         rows.append([spec.describe(), args.band, i, s.n_segments, s.d_fs,
                      s.gamma_b, wrep.margin, srep.margin, int(srep.saturated)])
     total_d = sum(s.d_fs for s in summaries)
@@ -265,14 +267,10 @@ def _cmd_models(args) -> int:
                                      title=spec.describe())
     print(f"models: {spec.describe()} d_fs={total_d:.6f} gamma_b={total_g:.6f} "
           f"({len(parts)} subloop(s))")
-    return 0 if worst >= 0 else 2
+    return 2 if violated else 0
 
 
 # ---------------------------------------------------------------- apps
-
-def _chain_rows(chain):
-    return [[label, value, chain.unit] for label, value in chain.entries]
-
 
 def _cmd_apps(args) -> int:
     out = _prepare_outdir(args, "apps")
@@ -290,11 +288,9 @@ def _cmd_apps(args) -> int:
         notes = (f"gamma_b={gamma:.9g}", f"eq8_residual={report.residual:.3e}")
     else:
         raise _UsageError(f"unknown application {args.app!r}")
-    _write_csv(out / "chain.csv", ["label", "value", "unit"], _chain_rows(chain))
-    # the floor scales with the chain: central differences leave ~1e-8
-    # relative rises on chains of magnitude ~40 (rhombohedral N = 5 eph)
-    monotone = chain.is_monotone(
-        TOL.saturation_floor * max(1.0, float(np.abs(chain.values).max())))
+    _write_csv(out / "chain.csv", ["label", "value", "unit"],
+               [[label, value, chain.unit] for label, value in chain.entries])
+    monotone = chain.is_monotone()
     report_doc = {"app": args.app, "entries": list(chain.entries),
                   "unit": chain.unit, "notes": list(chain.notes) + list(notes),
                   "monotone": monotone}
@@ -362,6 +358,7 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------- loop-io
 
 def _cmd_loop_io(args) -> int:
+    _prepare_outdir(args, "loop-io")
     if args.action == "export":
         gen = args.generator
         if gen == "bloch-circle":
@@ -390,13 +387,18 @@ def _cmd_loop_io(args) -> int:
     parts = split_self_intersections(loop) if args.split else [loop]
     summaries = [summarize(p) for p in parts]
     doc = {"meta": meta, "n": loop.n, "dim": loop.dim, "subloops": []}
+    violated = False
     for s in summaries:
+        wrep, srep = weak_qii(s), strong_qii(s, conjecture=loop.dim > 2)
+        violated |= wrep.violated or srep.violated
         doc["subloops"].append({
             "n": s.n_segments, "d_fs": s.d_fs, "gamma_b": s.gamma_b,
-            "weak_margin": weak_qii(s).margin,
-            "strong_margin": strong_qii(s, conjecture=loop.dim > 2).margin,
+            "weak_margin": wrep.margin, "strong_margin": srep.margin,
         })
     print(json.dumps(doc, sort_keys=True, indent=2))
+    if violated:
+        print(f"loop-io: VIOLATION in {args.file}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -498,6 +500,8 @@ def build_parser():
 
 def _check_args(args):
     """Usage checks on parsed values, so flags and --config defaults both pass them."""
+    if args.command == "figure1" and min(args.n_list, default=0) < 3:
+        raise _UsageError(f"polygons need --n-list entries >= 3, got {args.n_list}")
     if args.command in ("models", "apps") and args.nk < 3:
         raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
     if args.command == "apps":
@@ -522,28 +526,24 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
     try:
-        command = next((tok for tok in argv if not tok.startswith("-")), None)
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+        # parse once to find --config in any spelling, then again over its defaults
+        args = parser.parse_args(argv)
+        if args.config is not None:
             try:
-                defaults = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
+                defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
-                raise _UsageError(f"cannot read --config {cfg_path}: {exc}") from None
+                raise _UsageError(f"cannot read --config {args.config}: {exc}") from None
             if not isinstance(defaults, dict):
                 raise _UsageError("--config must hold a JSON object")
-            if command in by_name:
-                valid = {a.dest for a in by_name[command]._actions}
-                unknown = set(defaults) - valid
-                if unknown:
-                    raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-                by_name[command].set_defaults(**defaults)
-        args = parser.parse_args(argv)
+            sub = by_name[args.command]
+            unknown = set(defaults) - {a.dest for a in sub._actions}
+            if unknown:
+                raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+            sub.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         _check_args(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except IndexError:
-        print("usage error: --config needs a file path", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

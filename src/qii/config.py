@@ -11,7 +11,6 @@ from dataclasses import dataclass
 class Tolerances:
     norm: float = 1e-12            # |  ||v|| - 1 | allowed for a state vector
     hermitian: float = 1e-12       # max|H - H^dag| relative to matrix scale
-    eig_residual: float = 1e-10    # ||H v - lam v|| <= eig_residual * ||H||
     degeneracy: float = 1e-9       # band gap below degeneracy*||H|| is ill-posed
     zero_vector: float = 1e-300    # norms at or below this cannot be normalized
     gauge_zero: float = 1e-10      # "first nonzero entry" threshold for gauge fixing

@@ -6,10 +6,11 @@ Saturation tolerances scale with the discretization quality of the loop
 summary: tol(n) = max(floor, 10 * convergence_est), because chord sums
 under-estimate lengths and a fixed tiny tolerance would spuriously fail
 coarse loops.
+
+``IneqReport.violated`` (margin < -tol; exactly -tol passes) is the one
+violation predicate: every CLI verdict on an inequality reads it.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .geometry import LoopSummary, aggregate_summary
 
 __all__ = [
     "IneqReport", "tol_for", "plane_check", "sphere_check", "strong_qii",
-    "weak_qii", "aggregate_subloops", "reports_to_csv", "report_to_json",
+    "weak_qii", "aggregate_subloops",
 ]
 
 
@@ -36,14 +37,14 @@ class IneqReport:
     tol: float
     inputs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "saturated": self.saturated,
-                "tol": self.tol, "inputs": self.inputs}
+    @property
+    def violated(self) -> bool:
+        """True when the margin falls below -tol."""
+        return self.margin < -self.tol
 
 
-def _report(name, lhs, rhs, tol, inputs) -> IneqReport:
-    margin = lhs - rhs
+def _report(name, lhs, rhs, tol, inputs, margin=None) -> IneqReport:
+    margin = lhs - rhs if margin is None else margin
     return IneqReport(name=name, lhs=float(lhs), rhs=float(rhs),
                       margin=float(margin), saturated=bool(abs(margin) <= tol),
                       tol=float(tol), inputs=inputs)
@@ -81,16 +82,22 @@ def sphere_check(perimeter: float, area: float, radius: float,
     return _report("sphere", perimeter**2, rhs, tol, inputs)
 
 
+def _strong_margin(d_fs: float, gamma_b: float) -> float:
+    """(|gamma| - pi)^2 + d^2 - pi^2; the search calls it without a report."""
+    return (abs(gamma_b) - np.pi) ** 2 + d_fs**2 - np.pi**2
+
+
 def strong_qii(summary: LoopSummary, conjecture: bool = False) -> IneqReport:
     """Strong quantum isoperimetric inequality (|gamma|-pi)^2 + d^2 >= pi^2.
 
     Proven for simple two-band loops; pass conjecture=True for M > 2 or
     post-split inputs, which flags the report instead of erroring.
     """
-    lhs = (abs(summary.gamma_b) - np.pi) ** 2 + summary.d_fs**2
+    margin = _strong_margin(summary.d_fs, summary.gamma_b)
     inputs = {"d_fs": summary.d_fs, "gamma_b": summary.gamma_b,
               "n_segments": summary.n_segments, "conjecture": conjecture}
-    return _report("strong_qii", lhs, np.pi**2, tol_for(summary), inputs)
+    return _report("strong_qii", margin + np.pi**2, np.pi**2, tol_for(summary),
+                   inputs, margin)
 
 
 def weak_qii(summary: LoopSummary) -> IneqReport:
@@ -118,17 +125,3 @@ def aggregate_subloops(summaries: list[LoopSummary]) -> IneqReport:
     return _report("aggregate", agg.d_fs, agg.gamma_total,
                    tol_for(agg), inputs)
 
-
-def report_to_json(report: IneqReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True)
-
-
-def reports_to_csv(path, reports: list[IneqReport]):
-    """One row per report; inputs echoed as a JSON column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "lhs", "rhs", "margin", "saturated", "tol", "inputs"])
-        for r in reports:
-            writer.writerow([r.name, f"{r.lhs:.12g}", f"{r.rhs:.12g}",
-                             f"{r.margin:.12g}", int(r.saturated),
-                             f"{r.tol:.12g}", json.dumps(r.inputs, sort_keys=True)])

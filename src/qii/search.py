@@ -17,6 +17,7 @@ import numpy as np
 from .config import TOL
 from .errors import DegenerateSpec, OutOfRange
 from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
+from .inequalities import _strong_margin
 from .loops import (FourierLoopSpec, _split_states, bloch_circle,
                     fourier_states, perturb_circle)
 
@@ -83,7 +84,7 @@ def qii_objective(spec: FourierLoopSpec) -> float:
     parts: list[np.ndarray] = []
     _split_states(states, TOL.split, parts)
     scalars = [_scalars(states, overlaps)] if parts[0] is states else map(_scalars, parts)
-    return float(min((abs(g) - np.pi) ** 2 + d**2 - np.pi**2 for d, g in scalars))
+    return float(min(_strong_margin(d, g) for d, g in scalars))
 
 
 def _spec_from_vector(x: np.ndarray, cfg: SearchConfig, n: int) -> FourierLoopSpec:

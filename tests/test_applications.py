@@ -4,7 +4,7 @@ import pytest
 from oracles import (chart_metric_grid, per_k_band_states, two_level_propagator,
                      unwrapped_winding_metric_integral)
 from qii import applications, geometry, models
-from qii.applications import (adiabatic_cone_demo, eph_bound_chain,
+from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
@@ -39,6 +39,18 @@ def test_wannier_ssh_trivial_against_winding_oracle():
     got = wannier_omega1(ssh(v, w), n_k=n_k)
     assert got == pytest.approx(expected, rel=1e-3)
     assert got > 0
+
+
+def test_is_monotone_default_floor_scales_with_the_chain():
+    # default tol: TOL.saturation_floor * max(1, max |value|)
+    def chain(*values):
+        return BoundChain(entries=tuple((str(i), v) for i, v in enumerate(values)))
+    assert chain(40.0, 40.0 + 3e-5).is_monotone()
+    assert not chain(40.0, 40.0 + 3e-5).is_monotone(1e-6)
+    assert not chain(40.0, 40.0 + 5e-5).is_monotone()
+    assert chain(0.5, 0.5 + 0.9e-6).is_monotone()
+    assert not chain(0.5, 0.5 + 2e-6).is_monotone()
+    assert chain(-40.0).is_monotone() and chain().is_monotone()
 
 
 def test_wannier_chain_saturated_flat_cases():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -66,6 +67,38 @@ def test_weak_verify_makes_three_overlap_passes_a_row(monkeypatch):
     monkeypatch.setattr(loops, "_overlap_pass", spy)
     rows = cli.run_weak_suite(3, 10, 2, 2048, 0)
     assert len(calls) == 3 * len(rows) == 30
+
+
+@pytest.mark.parametrize("report", ["weak_qii", "strong_qii"])
+def test_verify_gates_each_report_at_its_own_tol(tmp_path, monkeypatch, report):
+    # the verdict reads every report's own tol: 1e-9 here, far inside the
+    # fixed 1e-6 floor and the whole loop's 10 * convergence_est
+    real = getattr(cli, report)
+    monkeypatch.setattr(cli, report, lambda summary, **kwargs: dataclasses.replace(
+        real(summary, **kwargs), tol=1e-9, margin=-2e-9))
+    out = tmp_path / "run"
+    assert main(["verify", "--strong", "--m", "3", "--loops", "6", "--n", "256",
+                 "--out", str(out)]) == 2
+    assert (out / "violation_loop.csv").exists()
+
+
+def test_verify_strong_gates_every_subloop(monkeypatch):
+    # odd rows are a great circle wound twice, which splits in two; only
+    # sub-loop reports (fewer than n segments) are made to fail
+    loop_for_index = cli._loop_for_index
+    monkeypatch.setattr(cli, "_loop_for_index", lambda m, k, n, seed, i: (
+        (None, loops.great_circle([0, 0, 1], n, turns=2)) if i % 2
+        else loop_for_index(m, k, n, seed, i)))
+    strong_qii = cli.strong_qii
+
+    def report(summary, conjecture=False):
+        rep = strong_qii(summary, conjecture=conjecture)
+        return dataclasses.replace(rep, margin=-1.0) if summary.n_segments < 256 else rep
+    monkeypatch.setattr(cli, "strong_qii", report)
+    rows = cli.run_weak_suite(2, 6, 2, 256, 0, strong=True)
+    assert [r[-1] for r in rows] == [1, 2] * 3
+    assert [r.violated for r in rows] == [False, True] * 3
+    assert [len(r) for r in rows] == [8] * 6
 
 
 def test_verify_single_band_usage_error(tmp_path):
@@ -226,6 +259,18 @@ def test_apps_eph_rhombohedral_many_layers_monotone(tmp_path, layers):
     assert json.loads((out / "report.json").read_text())["monotone"] is True
 
 
+def test_apps_gates_on_the_default_monotone_floor(tmp_path, monkeypatch):
+    calls = []
+    is_monotone = BoundChain.is_monotone
+
+    def spy(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return is_monotone(self, *args, **kwargs)
+    monkeypatch.setattr(BoundChain, "is_monotone", spy)
+    assert main(["apps", "--app", "wannier", "--nk", "64", "--out", str(tmp_path / "a")]) == 0
+    assert calls == [((), {})]
+
+
 def test_apps_chain_rising_by_1e4_of_its_maximum_fails(tmp_path, monkeypatch):
     top = 40.0
     chain = BoundChain(entries=(("a", top * (1.0 - 1e-4)), ("b", top)), unit="length")
@@ -335,6 +380,40 @@ def test_loop_io_roundtrip(tmp_path, capsys):
         assert sub["gamma_b"] == pytest.approx(np.pi, abs=1e-6)
 
 
+def test_loop_io_writes_a_manifest_into_out(tmp_path):
+    path = tmp_path / "loop.csv"
+    for action, out in (("export", tmp_path / "a" / "o1"), ("import", tmp_path / "b" / "o2")):
+        assert main(["loop-io", action, str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "loop-io"
+        assert manifest["config"]["action"] == action
+
+
+def _models_argv(tmp_path):
+    return ["models", "--nk", "256", "--out", str(tmp_path / "m")]
+
+
+def _loop_io_import_argv(tmp_path):
+    path = tmp_path / "loop.csv"
+    assert main(["loop-io", "export", str(path), "--out", str(tmp_path / "e")]) == 0
+    return ["loop-io", "import", str(path), "--out", str(tmp_path / "i")]
+
+
+@pytest.mark.parametrize("report", ["weak_qii", "strong_qii"])
+@pytest.mark.parametrize("make_argv", [_models_argv, _loop_io_import_argv])
+def test_violated_report_exits_2(tmp_path, monkeypatch, capsys, make_argv, report):
+    argv = make_argv(tmp_path)
+    assert main(argv) == 0
+    real = getattr(cli, report)
+
+    def violated(summary, **kwargs):  # the margin just past -tol
+        rep = real(summary, **kwargs)
+        return dataclasses.replace(rep, margin=np.nextafter(-rep.tol, -np.inf))
+    monkeypatch.setattr(cli, report, violated)
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_loop_io_import_missing_file(tmp_path):
     assert main(["loop-io", "import", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -404,6 +483,10 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     ["apps", "--app", "sfweight", "--nk", "0"],
     ["models", "--nk", "0"],
     ["models", "--nk", "2"],
+    ["figure1", "--n-list", "0"],
+    ["figure1", "--n-list", "2"],
+    ["figure1", "--n-list", "4,-3"],
+    ["figure1", "--n-list", ","],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -422,6 +505,17 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
+def test_config_is_read_in_every_spelling(tmp_path, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"loops": 3, "n": 64}')
+    out = tmp_path / "o"
+    flags = [s.format(cfg) for s in spelling]
+    assert main(["verify", "--m", "2", *flags, "--out", str(out)]) == 0
+    assert len(_read_csv(out / "margins.csv")) == 4
+    assert json.loads((out / "manifest.json").read_text())["config"]["n"] == 64
 
 
 # --- misc ---

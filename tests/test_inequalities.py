@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,8 @@ from oracles import (cap_area, cap_perimeter, spherical_polygon_area,
                      spherical_polygon_perimeter)
 from qii.errors import AreaExceedsSphere, EmptyInput
 from qii.geometry import loop_berry_phase, loop_distance, summarize
-from qii.inequalities import (aggregate_subloops, plane_check, report_to_json,
-                              reports_to_csv, sphere_check, strong_qii,
-                              tol_for, weak_qii)
+from qii.inequalities import (aggregate_subloops, plane_check, sphere_check,
+                              strong_qii, tol_for, weak_qii)
 from qii.loops import (bloch_circle, fourier_loop, great_circle,
                        random_fourier_spec, split_self_intersections)
 
@@ -168,13 +169,16 @@ def test_aggregate_empty():
         aggregate_subloops([])
 
 
-# --- serialization ---
 
-def test_report_serialization(tmp_path):
-    rep = plane_check(2 * np.pi, np.pi)
-    assert '"name": "plane"' in report_to_json(rep)
-    path = tmp_path / "reports.csv"
-    reports_to_csv(path, [rep, weak_qii(summarize(bloch_circle(1.0, 256)))])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("name,lhs,rhs,margin")
-    assert len(lines) == 3
+# --- violation predicate ---
+
+@pytest.mark.parametrize("make", [
+    lambda: weak_qii(summarize(bloch_circle(1.0, 256))),
+    lambda: strong_qii(summarize(bloch_circle(1.0, 256))),
+    lambda: plane_check(2 * np.pi, np.pi),
+], ids=["weak", "strong", "plane"])
+def test_violated_only_below_minus_tol(make):
+    rep = make()
+    assert not rep.violated
+    assert not dataclasses.replace(rep, margin=-rep.tol).violated
+    assert dataclasses.replace(rep, margin=np.nextafter(-rep.tol, -np.inf)).violated

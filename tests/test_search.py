@@ -7,7 +7,10 @@ from oracles import list_nelder_mead
 from qii import search
 from qii.config import TOL
 from qii.errors import DegenerateSpec, OutOfRange
-from qii.loops import FourierLoopSpec, _split_states, fourier_states, random_fourier_spec
+from qii.geometry import summarize
+from qii.inequalities import strong_qii
+from qii.loops import (FourierLoopSpec, _split_states, fourier_loop, fourier_states,
+                       random_fourier_spec)
 from qii.search import (SearchConfig, extremality_scan,
                         minimize_margin, qii_objective)
 
@@ -35,6 +38,12 @@ def test_objective_random_m3_nonnegative():
     spec = random_fourier_spec(3, 2, 512, 1)
     margin = qii_objective(spec)
     assert margin >= -1e-6
+
+
+def test_objective_is_the_strong_report_margin():
+    # one margin expression: an unsplit loop scores exactly its report's margin
+    spec = random_fourier_spec(3, 2, 512, 1)
+    assert qii_objective(spec) == strong_qii(summarize(fourier_loop(spec))).margin
 
 
 def test_objective_splits_before_checking():
