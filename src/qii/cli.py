@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .applications import (adiabatic_cone_demo, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
-from .errors import DegenerateSpec, QiiError
+from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import Loop, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
-from .loops import (bloch_circle, fourier_loop, great_circle, load_loop,
+from .loops import (_unit_axis, bloch_circle, fourier_loop, great_circle, load_loop,
                     min_resolution, random_fourier_spec, save_loop,
                     spherical_polygon, split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, fermi_surface_loop,
@@ -365,7 +365,7 @@ def _cmd_loop_io(args) -> int:
             loop = bloch_circle(args.theta, args.n)
             params = {"theta": args.theta, "n": args.n}
         elif gen == "great-circle":
-            axis = [float(x) for x in args.axis.split(",")]
+            axis = _axis_arg(args.axis)
             loop = great_circle(axis, args.n, turns=args.turns)
             params = {"axis": axis, "n": args.n, "turns": args.turns}
         elif gen == "spherical-polygon":
@@ -406,6 +406,16 @@ def _cmd_loop_io(args) -> int:
 
 def _int_list(text):
     return [int(x) for x in text.split(",") if x]
+
+
+def _axis_arg(text):
+    """--axis as three floats with a finite non-zero norm."""
+    try:
+        axis = [float(x) for x in str(text).split(",")]
+        _unit_axis(axis)
+    except (ValueError, WrongDimension, ZeroVector) as exc:
+        raise _UsageError(f"bad --axis {text!r}: {exc}") from None
+    return axis
 
 
 def build_parser():
@@ -509,6 +519,10 @@ def _check_args(args):
             raise _UsageError(f"need --steps >= 1, got {args.steps}")
         if not args.ratio > 0:
             raise _UsageError(f"need --ratio > 0, got {args.ratio}")
+    if args.command == "loop-io" and args.action == "export" and args.generator == "great-circle":
+        if args.turns < 1:
+            raise _UsageError(f"need --turns >= 1, got {args.turns}")
+        _axis_arg(args.axis)
     if args.command not in ("verify", "search"):
         return
     if args.m < 2:

@@ -54,14 +54,13 @@ class Loop:
             raise WrongDimension(f"loop states must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 3:
             raise IllConditionedSegment("a loop needs at least 3 states")
-        norms = np.linalg.norm(arr, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= TOL.norm):   # nan rows fail too
+        if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
             raise ValueError("loop states must be normalized")
-        ovl = np.abs(_overlap_pass(arr)[1])
-        if ovl.min() <= TOL.segment_overlap:
+        mod = _overlap_pass(arr)[2]
+        if mod.min() <= TOL.segment_overlap:
             raise IllConditionedSegment(
-                f"consecutive overlap {ovl.min():.3e} below {TOL.segment_overlap:.0e} "
-                f"at segment {int(ovl.argmin())}")
+                f"consecutive overlap {mod.min():.3e} below {TOL.segment_overlap:.0e} "
+                f"at segment {int(mod.argmin())}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
@@ -94,36 +93,45 @@ class LoopSummary:
     convergence_est: float
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: np.linalg.norm(rows, axis=1)'s own
+    arithmetic, without its per-call argument handling."""
+    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1))
+
+
 def _overlap_pass(states: np.ndarray):
-    """(successor rows, cyclic overlaps <psi_j|psi_{j+1}>); the successors
-    are np.roll(states, -1, axis=0) made by one slice concatenation."""
+    """(successor rows, cyclic overlaps <psi_j|psi_{j+1}>, their moduli);
+    the successors are np.roll(states, -1, axis=0) made by one slice
+    concatenation.  The moduli serve the segment gate, the chord angles
+    and the phase gate alike."""
     nxt = np.concatenate((states[1:], states[:1]))
-    return nxt, np.einsum("ij,ij->i", states.conj(), nxt)
+    ovl = np.einsum("ij,ij->i", states.conj(), nxt)
+    return nxt, ovl, np.abs(ovl)
 
 
 def _distance(states: np.ndarray, overlaps=None) -> float:
     # atan2(sin, cos) with the sine taken from the orthogonal residual is
     # uniformly accurate; arccos alone loses half the digits near 1.
-    nxt, ovl = overlaps or _overlap_pass(states)
-    sin = np.linalg.norm(nxt - states * ovl[:, None], axis=1)
-    return float(np.arctan2(sin, np.abs(ovl)).sum())
+    nxt, ovl, mod = overlaps or _overlap_pass(states)
+    sin = _row_norms(nxt - states * ovl[:, None])
+    return float(np.add.reduce(np.arctan2(sin, mod)))
 
 
-def _berry_phase(states: np.ndarray, ovl=None) -> float:
-    ovl = _overlap_pass(states)[1] if ovl is None else ovl
-    small = np.abs(ovl)
-    if small.min() < TOL.segment_overlap:
-        raise IllConditionedSegment(
-            f"overlap {small.min():.3e} too small for a Berry phase")
+def _berry_phase(states: np.ndarray, overlaps=None) -> float:
+    _, ovl, mod = overlaps or _overlap_pass(states)
+    low = mod.min()
+    if low < TOL.segment_overlap:
+        raise IllConditionedSegment(f"overlap {low:.3e} too small for a Berry phase")
     # Summing the segment angles (each well inside (-pi, pi)) instead of
-    # taking arg of the product avoids underflow of the product magnitude.
-    return principal_phase(-float(np.angle(ovl).sum()))
+    # taking arg of the product avoids underflow of the product magnitude;
+    # arctan2(imag, real) is np.angle's own arithmetic.
+    return principal_phase(-float(np.add.reduce(np.arctan2(ovl.imag, ovl.real))))
 
 
 def _scalars(states: np.ndarray, overlaps=None) -> tuple[float, float]:
     """(d_fs, gamma_b) from one overlap pass, `overlaps` if already made."""
     overlaps = overlaps or _overlap_pass(states)
-    return _distance(states, overlaps), _berry_phase(states, overlaps[1])
+    return _distance(states, overlaps), _berry_phase(states, overlaps)
 
 
 def segment_distance(a, b) -> float:

@@ -5,6 +5,7 @@ by an explicit seed or Generator so property suites are reproducible.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector)
-from .geometry import Loop, _overlap_pass
+from .geometry import Loop, _overlap_pass, _row_norms
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
@@ -48,12 +49,25 @@ def _vectors_to_states(vecs: np.ndarray) -> np.ndarray:
     return bloch_states(theta, phi)
 
 
+def _unit_axis(axis) -> np.ndarray:
+    """`axis` as a unit 3-vector; rejects other shapes and axes without a
+    finite non-zero norm."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise WrongDimension(f"great-circle axis must be a 3-vector, got shape {axis.shape}")
+    norm = np.linalg.norm(axis)
+    if not (np.isfinite(norm) and norm > TOL.zero_vector):
+        raise ZeroVector(f"great-circle axis {axis.tolist()} has no finite non-zero norm")
+    return axis / norm
+
+
 def great_circle(axis, n: int, turns: int = 1) -> Loop:
     """Great circle of the Bloch sphere normal to `axis`, traversed `turns` times."""
     if n < 3:
         raise BadResolution(f"need n >= 3 samples, got {n}")
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    if turns < 1:
+        raise OutOfRange(f"need turns >= 1, got {turns}")
+    axis = _unit_axis(axis)
     # deterministic frame: cross with the least-aligned basis vector
     seed = np.zeros(3)
     seed[np.abs(axis).argmin()] = 1.0
@@ -141,8 +155,8 @@ def _fourier_basis(n: int, k: int) -> np.ndarray:
 def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
     states = np.empty((spec.n, spec.m_dim), dtype=complex)
     states[:, 0] = 1.0
-    states[:, 1:] = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    np.matmul(_fourier_basis(spec.n, spec.k), spec.coeffs.T, out=states[:, 1:])
+    states /= _row_norms(states)[:, None]
     return states
 
 
@@ -187,11 +201,11 @@ def refine(loop: Loop, factor: int) -> Loop:
     if factor < 2:
         raise BadResolution("refinement factor must be >= 2")
     states = loop.states
-    nxt, ovl = _overlap_pass(states)
-    if np.abs(ovl).min() <= TOL.segment_overlap:
+    nxt, ovl, mod = _overlap_pass(states)
+    if mod.min() <= TOL.segment_overlap:
         raise IllConditionedSegment("cannot refine across a near-orthogonal segment")
     aligned = nxt * np.exp(-1j * np.angle(ovl))[:, None]
-    alpha = np.arccos(np.clip(np.abs(ovl), 0.0, 1.0))[:, None]
+    alpha = np.arccos(np.clip(mod, 0.0, 1.0))[:, None]
     tiny = alpha < 1e-12  # degenerate segment: fall back to linear weights
     sin_alpha = np.sin(np.where(tiny, 1.0, alpha))
     out = np.empty((loop.n, factor, loop.dim), dtype=complex)
@@ -206,17 +220,30 @@ def refine(loop: Loop, factor: int) -> Loop:
 
 _KEY_SEED = 20250320      # fixed, so the candidate sets are reproducible
 _PAIR_CHUNK = 1 << 20     # candidate pairs tested per block
+_EPS = float(np.finfo(float).eps)
+_NO_PAIRS = np.empty((0, 2), dtype=np.intp)
+_NO_PAIRS.setflags(write=False)
 
 
-def _key_matrix(m: int) -> np.ndarray:
-    """Fixed-seed random Hermitian m x m matrix of unit Frobenius norm."""
+@lru_cache(maxsize=32)
+def _key_form(m: int) -> np.ndarray:
+    """Real 2m x 2m form of a fixed-seed random Hermitian m x m matrix A of
+    unit Frobenius norm, acting on rows of interleaved (re, im) pairs.
+
+    Entry (a, b) of A becomes the block [[Re A_ab, -Im A_ab],
+    [Im A_ab, Re A_ab]], so y^T B y = Re(x^H A x) = x^H A x for the float
+    view y of a complex row x.
+    """
     rng = np.random.default_rng(_KEY_SEED)
     h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     a = h + h.conj().T
-    return a / np.linalg.norm(a)
-
-
-_KEYS = {m: _key_matrix(m) for m in range(2, 9)}   # skips the rng on each call
+    a /= np.linalg.norm(a)
+    form = np.empty((2 * m, 2 * m))
+    form[0::2, 0::2] = form[1::2, 1::2] = a.real
+    form[0::2, 1::2] = -a.imag
+    form[1::2, 0::2] = a.imag
+    form.setflags(write=False)
+    return form
 
 
 def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
@@ -229,26 +256,38 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     |key(a) - key(b)| <= ||P_a - P_b||_F = sqrt(2) sin d(a, b), so every
     pair with |<a|b>| >= cos(tol) lies within a window of width
     sqrt(2) sin(tol), widened for the rounding of the inputs.  Only the
-    pairs inside the window of the sorted keys get the exact overlap test.
+    pairs inside the window of the sorted keys get the exact overlap test,
+    so the pairs do not depend on how the key is rounded, as long as the
+    window covers that rounding.
+
+    The key is the real quadratic form y^T B y / y^T y on the float view y
+    of each row (2m reals), B the real form of A (`_key_form`).  Both dot
+    products have length 2m, so the numerator errs by at most
+    gamma_4m |y|^T |B| |y| <= gamma_4m ||B||_F |y|^2 = sqrt(2) gamma_4m |y|^2
+    (gamma_n ~ n eps) and the denominator by gamma_2m relative; since
+    |key| <= ||A||_F = 1, one key errs by under (4 sqrt(2) m + 2m + 2) eps
+    < (8m + 2) eps.  The window compares two keys, and width and
+    ranked + width are rounded once more each (|key| <= 1, width < 3), so
+    it must cover (16m + 10) eps, which the 32 m^2 eps slack does for
+    every m >= 1.
     """
     n, m = states.shape
-    a_key = _KEYS[m] if m in _KEYS else _key_matrix(m)
-    conj = states.conj()
-    sq = np.einsum("ij,ij->i", conj, states).real
-    key = np.einsum("ij,ij->i", conj, states @ a_key.T).real / sq
-    cos_tol = np.cos(tol)
-    eps = np.finfo(float).eps
+    y = np.ascontiguousarray(states, dtype=complex).view(float)
+    sq = np.einsum("ij,ij->i", y, y)
+    key = np.einsum("ij,ij->i", y @ _key_form(m), y) / sq
+    cos_tol = math.cos(tol)
     # a computed |<a|b>| >= cos(tol) bounds the true cos d below by c
-    c = min(1.0, (cos_tol - 16 * m * eps) / sq.max())
-    sin_d = np.sqrt((1.0 - c) * (1.0 + c)) if c > 0.0 else 1.0
-    width = np.sqrt(2.0) * sin_d + 32 * m * m * eps
-    order = np.argsort(key)
+    c = min(1.0, (cos_tol - 16 * m * _EPS) / sq.max())
+    sin_d = math.sqrt((1.0 - c) * (1.0 + c)) if c > 0.0 else 1.0
+    width = math.sqrt(2.0) * sin_d + 32 * m * m * _EPS
+    order = key.argsort()
     ranked = key[order]
     # a window pair (a, b) makes every sorted neighbour pair between them one
     # too, so the rows that start a window are the neighbour hits: O(n)
-    lows = np.flatnonzero(ranked[1:] <= ranked[:-1] + width)
-    if lows.size == 0:
-        return np.empty((0, 2), dtype=np.intp)
+    hits = ranked[1:] <= ranked[:-1] + width
+    if not hits.any():
+        return _NO_PAIRS
+    lows = np.flatnonzero(hits)
     counts = np.searchsorted(ranked, ranked[lows] + width, side="right") - lows - 1
     ends = np.cumsum(counts)
     codes = []
@@ -267,6 +306,8 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
         codes.append(j[close].astype(np.int64) * n + k[close])
         first = last
     codes = np.sort(np.concatenate(codes))   # j*n + k: row-major order
+    if codes.size == 0:
+        return _NO_PAIRS
     pairs = np.empty((codes.size, 2), dtype=np.intp)
     np.divmod(codes, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs

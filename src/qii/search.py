@@ -73,12 +73,12 @@ class SearchResult:
 def qii_objective(spec: FourierLoopSpec) -> float:
     """Strong-QII margin of a Fourier loop, split into simple sub-loops first.
 
-    The cyclic overlaps of the full loop gate it and, when it does not
-    split, give its distance and phase as well.
+    The cyclic overlaps of the full loop and their moduli gate it and, when
+    it does not split, give its distance and phase as well.
     """
     states = fourier_states(spec)
     overlaps = _overlap_pass(states)
-    low = np.abs(overlaps[1]).min()
+    low = overlaps[2].min()
     if low <= TOL.segment_overlap:
         raise DegenerateSpec(f"consecutive overlap {low:.3e} too small")
     parts: list[np.ndarray] = []
@@ -151,8 +151,9 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     best_x, best_f = None, np.inf
 
     def objective(x):
-        if np.abs(x).max() > cfg.coeff_bound:
-            return _PENALTY * (1.0 + np.abs(x).max() - cfg.coeff_bound)
+        top = np.abs(x).max()
+        if top > cfg.coeff_bound:
+            return _PENALTY * (1.0 + top - cfg.coeff_bound)
         try:
             return qii_objective(_spec_from_vector(x, cfg, cfg.n))
         except DegenerateSpec:
@@ -212,6 +213,8 @@ def extremality_scan(theta: float, modes, eps_grid, n: int = 8192) -> dict:
             gamma = loop_berry_phase(perturb_circle(theta, eps, mode, n))
             deltas.append(abs(principal_phase(gamma - gamma0, guard=0.0)))
         kept = [(e, d) for e, d in zip(eps_grid, deltas) if d > 0.0]
+        if len(kept) < 2:
+            raise OutOfRange(f"mode {mode}: fewer than two eps values move the phase")
         xs = np.log([e for e, _ in kept])
         ys = np.log([d for _, d in kept])
         slopes[int(mode)] = float(np.polyfit(xs, ys, 1)[0])

@@ -487,6 +487,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     ["figure1", "--n-list", "2"],
     ["figure1", "--n-list", "4,-3"],
     ["figure1", "--n-list", ","],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "1,2"],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "0,0,0"],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "nan,0,1"],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "1,x,2"],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--turns", "0"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

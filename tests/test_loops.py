@@ -6,7 +6,8 @@ import pytest
 from oracles import (cap_area, cap_perimeter, gram_coincidence_pairs,
                      gram_split, spherical_polygon_perimeter)
 from qii.config import TOL
-from qii.errors import BadResolution, DegenerateSpec, EmptyInput, OutOfRange
+from qii.errors import (BadResolution, DegenerateSpec, EmptyInput, OutOfRange,
+                        WrongDimension, ZeroVector)
 from qii.geometry import (Loop, bloch_solid_angle, loop_berry_phase,
                           loop_distance, summarize)
 from qii.loops import (FourierLoopSpec, _coincidence_pairs, _fourier_basis,
@@ -83,6 +84,23 @@ def test_great_circle_two_turns_splits():
     total_g = sum(loop_berry_phase(p) for p in parts)
     assert total_d == pytest.approx(2 * np.pi, abs=1e-8)
     assert total_g == pytest.approx(2 * np.pi, abs=1e-8)
+
+
+@pytest.mark.parametrize("axis, error", [
+    ([1.0, 2.0], WrongDimension),
+    ([[0.0, 0.0, 1.0]], WrongDimension),
+    ([0.0, 0.0, 0.0], ZeroVector),
+    ([np.nan, 0.0, 1.0], ZeroVector),
+    ([np.inf, 0.0, 1.0], ZeroVector),
+])
+def test_great_circle_rejects_a_bad_axis(axis, error):
+    with pytest.raises(error, match="axis"):
+        great_circle(axis, 64)
+
+
+def test_great_circle_needs_a_turn():
+    with pytest.raises(OutOfRange):
+        great_circle([0, 0, 1], 64, turns=0)
 
 
 # --- spherical_polygon ---
@@ -269,6 +287,31 @@ def test_split_matches_gram_oracle_fourier(m, tol):
         _assert_matches_gram(loop.states, tol)
         checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("m", [3, 9])
+def test_pairs_match_gram_oracle_on_strided_copies(m):
+    # the key reads a float view of the rows, so reversed (negative-stride)
+    # and Fortran-ordered copies must give their own exact pairs; m = 9 is
+    # past the sizes whose key used to be precomputed
+    coeffs = np.zeros((m - 1, 5), dtype=complex)
+    coeffs[:, 4] = 1.0   # harmonic +2 only: traversed twice, n/2 exact pairs
+    cases = [fourier_loop(FourierLoopSpec(m_dim=m, coeffs=coeffs, k=2, n=256))]
+    for i in range(8):
+        rng = np.random.default_rng([m, i, 7])
+        try:
+            cases.append(fourier_loop(random_fourier_spec(m, int(rng.integers(1, 5)), 256, rng)))
+        except DegenerateSpec:
+            continue
+    assert len(cases) >= 6
+    found = 0
+    for loop in cases:
+        for arr in (loop.states, loop.states[::-1], np.asfortranarray(loop.states)):
+            for tol in (TOL.split, 0.2):
+                pairs = _coincidence_pairs(arr, tol)
+                np.testing.assert_array_equal(pairs, gram_coincidence_pairs(arr, tol))
+                found += len(pairs)
+    assert found > 0
 
 
 @pytest.mark.parametrize("turns", [2, 3, 5, 8, 13, 21, 32])

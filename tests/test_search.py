@@ -10,7 +10,7 @@ from qii.errors import DegenerateSpec, OutOfRange
 from qii.geometry import summarize
 from qii.inequalities import strong_qii
 from qii.loops import (FourierLoopSpec, _split_states, fourier_loop, fourier_states,
-                       random_fourier_spec)
+                       random_fourier_spec, split_self_intersections)
 from qii.search import (SearchConfig, extremality_scan,
                         minimize_margin, qii_objective)
 
@@ -44,6 +44,56 @@ def test_objective_is_the_strong_report_margin():
     # one margin expression: an unsplit loop scores exactly its report's margin
     spec = random_fourier_spec(3, 2, 512, 1)
     assert qii_objective(spec) == strong_qii(summarize(fourier_loop(spec))).margin
+
+
+def _winding_spec(m, n, seed):
+    """k = 2 spec of harmonic +2 only: the loop is traversed twice, so
+    states j and j + n/2 coincide and it splits."""
+    coeffs = np.zeros((m - 1, 5), dtype=complex)
+    coeffs[:, 4] = np.random.default_rng(seed).normal(size=m - 1) + 1.0
+    return FourierLoopSpec(m_dim=m, coeffs=coeffs, k=2, n=n)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_objective_is_the_least_subloop_report_margin(m, n):
+    # the search's objective and verify's reports share one scalar path,
+    # bit for bit, on loops that stay whole and on loops that split
+    specs = [random_fourier_spec(m, 2, n, seed) for seed in range(4)]
+    specs += [_winding_spec(m, n, seed) for seed in range(2)]
+    if m == 2:
+        specs.append(_equator_spec(n))
+        coeffs = np.zeros((1, 5), dtype=complex)
+        coeffs[0, 4] = 1.0  # double equator
+        specs.append(FourierLoopSpec(m_dim=2, coeffs=coeffs, k=2, n=n))
+    split = 0
+    for spec in specs:
+        try:
+            parts = split_self_intersections(fourier_loop(spec))
+        except DegenerateSpec:
+            with pytest.raises(DegenerateSpec):
+                qii_objective(spec)
+            continue
+        split += len(parts) > 1
+        want = min(strong_qii(summarize(p)).margin for p in parts)
+        assert qii_objective(spec) == want
+    assert split >= 2
+
+
+def test_objective_and_summarize_skip_the_norm_and_angle_wrappers(monkeypatch):
+    # row norms and segment angles are computed with the wrappers' own
+    # arithmetic; a wrapper call costs more than the work at n = 256
+    spec = random_fourier_spec(3, 2, 256, 4)
+    loop = fourier_loop(spec)
+    assert split_self_intersections(loop) == [loop]
+    calls = []
+    for module, name in ((np.linalg, "norm"), (np, "angle")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
+    qii_objective(spec)
+    summarize(loop)
+    assert calls == []
 
 
 def test_objective_splits_before_checking():
@@ -240,3 +290,6 @@ def test_extremality_excludes_zero_eps():
 def test_extremality_needs_enough_points():
     with pytest.raises(OutOfRange):
         extremality_scan(np.pi / 3, [1], [0.0], n=512)
+    # eps this small leaves gamma bit-identical to the circle's
+    with pytest.raises(OutOfRange, match="move the phase"):
+        extremality_scan(1.0, [1], [1e-300, 2e-300], n=64)
