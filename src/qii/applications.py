@@ -13,11 +13,11 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-# the chains do not call qgt_at; it stays bound here because bench/run.py
-# traces applications.qgt_at as a layer
+# no chain calls qgt_at, bz_loop or fermi_surface_loop; bench/run.py traces them here
 from .geometry import Loop, aggregate_summary, qgt_at, segment_distance, summarize  # noqa: F401
-from .models import (ModelSpec, bloch, bz_grid, bz_loop, fermi_surface_loop,
-                     fourier_bloch, metric_grid)
+from .models import (ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors, bloch,
+                     bz_grid, bz_loop, fermi_surface_loop, fourier_bloch,  # noqa: F401
+                     metric_grid)
 from .loops import split_self_intersections
 
 __all__ = [
@@ -95,11 +95,21 @@ def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> floa
     return float(np.mean(metric_grid(spec, band, bz_grid(spec, n_k))[:, 0, 0]))
 
 
+def _band_chain(spec: ModelSpec, band: str, n_k: int):
+    """(wannier_omega1, summarize(bz_loop(...))) from one Bloch evaluation:
+    the metric's stacked k rows are the loop's momenta."""
+    if spec.dim_k != 1:
+        raise OutOfRange("the Wannier chain is implemented for 1D models")
+    ks = bz_grid(spec, n_k)
+    vec, norm = _gated_bloch(spec, ks, ks)
+    omega1 = float(np.mean(_metric(vec, norm, 1)[:, 0, 0]))
+    return omega1, summarize(Loop(_spinors(vec[:len(ks)], norm[:len(ks)], band)))
+
+
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
                         n_k: int = 256) -> BoundChain:
     """Chain Omega_1 >= (a d / 2 pi)^2 >= (a gamma / 2 pi)^2 for a 1D band."""
-    omega1 = wannier_omega1(spec, band, n_k)
-    s = summarize(bz_loop(spec, band, n_k))
+    omega1, s = _band_chain(spec, band, n_k)
     a = spec.a
     return BoundChain(entries=(
         ("omega_1", omega1),
@@ -226,12 +236,13 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     proportionality constant of lambda_geo is not reported, only the
     bound structure.
     """
-    loop, l_fs = fermi_surface_loop(spec, e_f, n)
-    n_eff = loop.n
-    k_f = l_fs / (2.0 * np.pi)
-    alphas = 2.0 * np.pi * np.arange(n_eff) / n_eff
-    g = metric_grid(spec, "upper", k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1))
-    that = np.stack([-np.sin(alphas), np.cos(alphas)], axis=1)
+    k_f, directions = _fermi_circle(spec, e_f, n)
+    n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
+    # radius l_fs / 2 pi (k_F up to one rounding), as for a metric built from the perimeter
+    vec, norm = _gated_bloch(spec, k_f * directions, l_fs / (2.0 * np.pi) * directions)
+    loop = Loop(_spinors(vec[:n_eff], norm[:n_eff], "upper"))
+    g = _metric(vec, norm, 2)
+    that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
     trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
     tangential_int = np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff
     agg = aggregate_summary([summarize(p) for p in split_self_intersections(loop)])
@@ -254,6 +265,8 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     """
     if not 0.0 < nu < 1.0:
         raise OutOfRange("filling factor must lie in (0, 1)")
+    if not 0.0 < u < np.inf:
+        raise OutOfRange(f"attraction U must be finite and positive, got {u}")
     if spec.dim_k != 1:
         raise OutOfRange("the superfluid-weight chain is implemented for 1D models")
     m_bands = spec.bands
@@ -266,8 +279,8 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     upper = np.hypot.reduce(bloch(spec, bz_grid(spec, 64)), axis=1)   # E_+ = |n(k)|
     if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
-    integral = wannier_omega1(spec, "lower", n_k) * 2.0 * np.pi / spec.a
-    s = summarize(bz_loop(spec, "lower", n_k))
+    omega1, s = _band_chain(spec, "lower", n_k)
+    integral = omega1 * 2.0 * np.pi / spec.a
     factor = u * nu * (1.0 - nu)
     d_s = factor / (np.pi**2 * m_bands) * integral
     pref = spec.a * factor / (2.0 * np.pi**3 * m_bands)

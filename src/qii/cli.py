@@ -23,7 +23,7 @@ from . import __version__
 from .applications import (adiabatic_cone_demo, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
-from .geometry import Loop, bloch_solid_angle, loop_distance, summarize
+from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (_unit_axis, bloch_circle, fourier_loop, great_circle, load_loop,
                     min_resolution, random_fourier_spec, save_loop,
@@ -44,27 +44,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _prepare_outdir(args, command) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {}
-    for key, val in sorted(vars(args).items()):
-        if key in {"func", "command"}:
-            continue
-        config[key] = str(val) if isinstance(val, Path) else val
+    config = {key: str(val) if isinstance(val, Path) else val
+              for key, val in sorted(vars(args).items()) if key not in {"func", "command"}}
     manifest = {"command": command, "config": config, "version": __version__}
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -178,11 +172,9 @@ def _cmd_figure1(args) -> int:
         area = bloch_solid_angle(loop) * 0.25  # radius 1/2
         rep = sphere_check(perim, abs(area), 0.5)
         spherical.append([n, perim, abs(area), rep.inputs["quotient"], rep.margin])
-    circle = sphere_check(np.pi * np.sin(args.theta),
-                          0.5 * np.pi * (1.0 - np.cos(args.theta)), 0.5)
-    spherical.append(["circle", np.pi * np.sin(args.theta),
-                      0.5 * np.pi * (1.0 - np.cos(args.theta)),
-                      circle.inputs["quotient"], circle.margin])
+    perim, area = np.pi * np.sin(args.theta), 0.5 * np.pi * (1.0 - np.cos(args.theta))
+    circle = sphere_check(perim, area, 0.5)
+    spherical.append(["circle", perim, area, circle.inputs["quotient"], circle.margin])
     _write_csv(out / "spherical.csv",
                ["n_sides", "perimeter", "area", "quotient", "margin"], spherical)
 
@@ -229,6 +221,8 @@ def _add_model_flags(parser):
     parser.add_argument("--scale", type=float, default=1.0, help="rhombohedral scale")
     parser.add_argument("--vf", type=float, default=1.0, help="Dirac Fermi velocity")
     parser.add_argument("--a", type=float, default=1.0, help="lattice constant")
+    parser.add_argument("--band", default="lower", choices=["lower", "upper"])
+    parser.add_argument("--ef", type=float, default=1.0, help="Fermi energy (2D models)")
     parser.add_argument("--model-json", default=None,
                         help="JSON model config {kind, parameters, lattice_const}")
     parser.add_argument("--table-csv", default=None,
@@ -252,11 +246,9 @@ def _cmd_models(args) -> int:
         violated |= wrep.violated or srep.violated
         rows.append([spec.describe(), args.band, i, s.n_segments, s.d_fs,
                      s.gamma_b, wrep.margin, srep.margin, int(srep.saturated)])
-    total_d = sum(s.d_fs for s in summaries)
-    total_g = sum(s.gamma_b for s in summaries)
-    rows.append([spec.describe(), args.band, "aggregate",
-                 sum(s.n_segments for s in summaries), total_d, total_g,
-                 total_d - total_g, "", ""])
+    agg = aggregate_summary(summaries)
+    rows.append([spec.describe(), args.band, "aggregate", agg.n_segments, agg.d_fs,
+                 agg.gamma_total, agg.d_fs - agg.gamma_total, "", ""])
     _write_csv(out / "models.csv",
                ["model", "band", "subloop", "n", "d_fs", "gamma_b",
                 "weak_margin", "strong_margin", "strong_saturated"], rows)
@@ -265,7 +257,7 @@ def _cmd_models(args) -> int:
                                      [s.d_fs for s in summaries],
                                      [abs(s.gamma_b) for s in summaries],
                                      title=spec.describe())
-    print(f"models: {spec.describe()} d_fs={total_d:.6f} gamma_b={total_g:.6f} "
+    print(f"models: {spec.describe()} d_fs={agg.d_fs:.6f} gamma_b={agg.gamma_total:.6f} "
           f"({len(parts)} subloop(s))")
     return 2 if violated else 0
 
@@ -385,10 +377,9 @@ def _cmd_loop_io(args) -> int:
 
     loop, meta = load_loop(args.file)
     parts = split_self_intersections(loop) if args.split else [loop]
-    summaries = [summarize(p) for p in parts]
     doc = {"meta": meta, "n": loop.n, "dim": loop.dim, "subloops": []}
     violated = False
-    for s in summaries:
+    for s in map(summarize, parts):
         wrep, srep = weak_qii(s), strong_qii(s, conjecture=loop.dim > 2)
         violated |= wrep.violated or srep.violated
         doc["subloops"].append({
@@ -446,9 +437,7 @@ def build_parser():
     p = by_name["models"] = subs.add_parser(
         "models", help="Brillouin-zone / Fermi-surface loop summaries")
     _add_model_flags(p)
-    p.add_argument("--band", default="lower", choices=["lower", "upper"])
     p.add_argument("--nk", type=int, default=2048)
-    p.add_argument("--ef", type=float, default=1.0, help="Fermi energy (2D models)")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_models)
 
@@ -457,9 +446,7 @@ def build_parser():
     p.add_argument("--app", required=True,
                    choices=["wannier", "speed", "eph", "sfweight"])
     _add_model_flags(p)
-    p.add_argument("--band", default="lower", choices=["lower", "upper"])
     p.add_argument("--nk", type=int, default=256)
-    p.add_argument("--ef", type=float, default=1.0)
     p.add_argument("--u", type=float, default=1.0, help="Hubbard interaction")
     p.add_argument("--nu", type=float, default=0.5, help="filling factor")
     p.add_argument("--theta-c", type=float, default=np.pi / 3, help="cone angle")
@@ -519,6 +506,8 @@ def _check_args(args):
             raise _UsageError(f"need --steps >= 1, got {args.steps}")
         if not args.ratio > 0:
             raise _UsageError(f"need --ratio > 0, got {args.ratio}")
+        if args.app == "sfweight" and not 0.0 < args.u < np.inf:
+            raise _UsageError(f"need a finite attraction --u > 0, got {args.u}")
     if args.command == "loop-io" and args.action == "export" and args.generator == "great-circle":
         if args.turns < 1:
             raise _UsageError(f"need --turns >= 1, got {args.turns}")

@@ -7,7 +7,7 @@ Pancharatnam phase of the cyclic overlap product).  Both are manifestly
 gauge invariant, so no gauge smoothing is ever needed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,7 @@ class Loop:
     """
 
     states: np.ndarray
+    _overlaps: tuple = field(init=False, repr=False, compare=False)   # the gate's pass
 
     def __post_init__(self):
         arr = np.asarray(self.states, dtype=complex)
@@ -56,7 +57,8 @@ class Loop:
             raise IllConditionedSegment("a loop needs at least 3 states")
         if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
             raise ValueError("loop states must be normalized")
-        mod = _overlap_pass(arr)[2]
+        overlaps = _overlap_pass(arr)
+        mod = overlaps[2]
         if mod.min() <= TOL.segment_overlap:
             raise IllConditionedSegment(
                 f"consecutive overlap {mod.min():.3e} below {TOL.segment_overlap:.0e} "
@@ -64,6 +66,7 @@ class Loop:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
+        object.__setattr__(self, "_overlaps", overlaps)
 
     @property
     def n(self) -> int:
@@ -149,21 +152,19 @@ def loop_distance(loop: Loop) -> float:
     Exact for geodesic polygons; converges to the continuum length from
     below under refinement of a smooth loop.
     """
-    return _distance(loop.states)
+    return _distance(loop.states, loop._overlaps)
 
 
 def loop_berry_phase(loop: Loop) -> float:
     """Pancharatnam phase -arg prod_j <psi_j|psi_{j+1}> in (-pi, pi]."""
-    return _berry_phase(loop.states)
+    return _berry_phase(loop.states, loop._overlaps)
 
 
 def bloch_vectors(states: np.ndarray) -> np.ndarray:
     """Unit Bloch vectors <psi|sigma|psi> for an (n, 2) state array."""
     a, b = states[:, 0], states[:, 1]
-    x = 2.0 * (a.conj() * b).real
-    y = 2.0 * (a.conj() * b).imag
-    z = (np.abs(a) ** 2 - np.abs(b) ** 2)
-    return np.stack([x, y, z], axis=1)
+    ab = a.conj() * b
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=1)
 
 
 def _solid_angle_reference(n: np.ndarray) -> np.ndarray:
@@ -227,7 +228,7 @@ def summarize(loop: Loop) -> LoopSummary:
     The estimate compares against the half-resolution subsampled loop;
     for a loop that is already a geodesic polygon it is ~machine epsilon.
     """
-    d, g = _scalars(loop.states)
+    d, g = _scalars(loop.states, loop._overlaps)   # the full loop reuses Loop's pass
     if loop.n >= 6:
         half = loop.states[::2]
         try:

@@ -15,7 +15,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector)
-from .geometry import Loop, _overlap_pass, _row_norms
+from .geometry import Loop, _row_norms
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
@@ -201,9 +201,7 @@ def refine(loop: Loop, factor: int) -> Loop:
     if factor < 2:
         raise BadResolution("refinement factor must be >= 2")
     states = loop.states
-    nxt, ovl, mod = _overlap_pass(states)
-    if mod.min() <= TOL.segment_overlap:
-        raise IllConditionedSegment("cannot refine across a near-orthogonal segment")
+    nxt, ovl, mod = loop._overlaps
     aligned = nxt * np.exp(-1j * np.angle(ovl))[:, None]
     alpha = np.arccos(np.clip(mod, 0.0, 1.0))[:, None]
     tiny = alpha < 1e-12  # degenerate segment: fall back to linear weights
@@ -405,11 +403,8 @@ def save_loop(path, loop: Loop, generator: str = "", parameters: dict | None = N
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write(f"index,{cols}\n")
         for idx, row in enumerate(loop.states):
-            parts = [f"{idx}"]
-            for amp in row:
-                parts.append(f"{amp.real:.17g}")
-                parts.append(f"{amp.imag:.17g}")
-            fh.write(",".join(parts) + "\n")
+            parts = [f"{v:.17g}" for amp in row for v in (amp.real, amp.imag)]
+            fh.write(",".join([f"{idx}"] + parts) + "\n")
 
 
 def load_loop(path) -> tuple[Loop, dict]:

@@ -29,7 +29,6 @@ __all__ = [
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
     "hamiltonian", "band_state", "band_states", "band_chart", "metric_grid",
     "bz_grid", "bz_loop", "fermi_surface_loop", "dirac_metric",
-    "chiral_operator",
 ]
 
 _BAND_INDEX = {"lower": 0, "upper": 1}
@@ -177,15 +176,14 @@ class _Kind:
     build: Callable      # (JSON parameters, lattice constant) -> ModelSpec
     bloch: Callable      # (spec, ks) -> Bloch vectors
     scale: Callable      # parameters -> characteristic energy scale
-    chiral: np.ndarray | None = None   # operator anticommuting with every H(k)
     fermi: Callable | None = None      # (parameters, e_f, n) -> (k_F, samples)
 
 
 _KINDS = {
     "ssh": _Kind(1, lambda p, a: ssh(p["v"], p["w"], a), _ssh_bloch,
-                 lambda p: abs(p["v"]) + abs(p["w"]), chiral=PAULI[2]),
+                 lambda p: abs(p["v"]) + abs(p["w"])),
     "creutz": _Kind(1, lambda p, a: creutz(p["t"], a), _creutz_bloch,
-                    lambda p: 2.0 * abs(p["t"]), chiral=PAULI[1]),
+                    lambda p: 2.0 * abs(p["t"])),
     "fourier_bloch": _Kind(
         1, lambda p, a: fourier_bloch(p["const"], p["cos"], p["sin"], a), _fourier_bloch,
         lambda p: float(_norm(p["const"]) + np.abs(p["cos"]).sum() + np.abs(p["sin"]).sum())),
@@ -193,12 +191,12 @@ _KINDS = {
                    lambda p: float(_norm(p["vectors"]).max())),
     "rhombohedral": _Kind(
         2, lambda p, a: rhombohedral(p["n_layers"], p.get("scale", 1.0), a),
-        _rhombohedral_bloch, lambda p: abs(p["scale"]), chiral=PAULI[2],
+        _rhombohedral_bloch, lambda p: abs(p["scale"]),
         # n rounded up to a multiple of N: the N-fold winding closes on the grid
         fermi=lambda p, e_f, n: ((e_f / p["scale"]) ** (1.0 / p["n_layers"]),
                                  p["n_layers"] * int(np.ceil(n / p["n_layers"])))),
     "dirac": _Kind(2, lambda p, a: dirac(p.get("v_f", 1.0)), _dirac_bloch,
-                   lambda p: abs(p["v_f"]), chiral=PAULI[2],
+                   lambda p: abs(p["v_f"]),
                    fermi=lambda p, e_f, n: (e_f / p["v_f"], n)),
 }
 
@@ -242,14 +240,56 @@ def hamiltonian(spec: ModelSpec, k) -> np.ndarray:
     return np.einsum("i,ijk->jk", bloch(spec, np.asarray(k, dtype=float)[None])[0], PAULI)
 
 
-def _check_gap(spec: ModelSpec, ks, gap, e_max):
+def _gated_bloch(spec: ModelSpec, ks, centers=None):
+    """Bloch vectors and norms from one `bloch` call on the stacked [ks, c +- h e_i]
+    (c = centers, h = TOL.fd_step; ks alone without centers), gap-gated once:
+    the first closing in that order is named, one at ks as band_states does."""
+    ks = np.asarray(ks, dtype=float)
+    if centers is not None:
+        steps = [TOL.fd_step] if spec.dim_k == 1 else list(np.eye(2) * TOL.fd_step)
+        ks = np.concatenate([ks] + [np.add(centers, sign * e) for e in steps for sign in (1, -1)])
+    n = bloch(spec, ks)
+    norm = _norm(n)   # eigenvalues -+|n|, gap 2|n|
     # the gap is measured against max(model scale, |eigenvalue|), since at an
     # exact closing the local matrix norm itself collapses to rounding noise
-    scale = np.maximum(_KINDS[spec.kind].scale(spec.params), e_max)
-    bad = np.flatnonzero(gap < TOL.degeneracy * np.maximum(scale, TOL.zero_vector))
+    scale = np.maximum(_KINDS[spec.kind].scale(spec.params), norm)
+    bad = np.flatnonzero(2.0 * norm < TOL.degeneracy * np.maximum(scale, TOL.zero_vector))
     if bad.size:
-        raise DegenerateAtTolerance(f"gap {gap[bad[0]]:.3e} at k = {ks[bad[0]]} below "
-                                    f"{TOL.degeneracy:.0e} * model scale")
+        raise DegenerateAtTolerance(f"gap {2.0 * norm[bad[0]]:.3e} at k = {ks[bad[0]]} "
+                                    f"below {TOL.degeneracy:.0e} * model scale")
+    return n, norm
+
+
+def _spinors(n, r, band: str) -> np.ndarray:
+    """States of one band from gated Bloch vectors n with norms r; see band_states."""
+    x, y, z = n.T
+    rho = np.hypot(x, y)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("vector has non-finite entries")
+    # (r + |z|) / 2 and (r - |z|) / 2 = rho^2 / (2 (r + |z|)), free of
+    # cancellation and overflow; r > 0 past the gate
+    big = 0.5 * r + 0.5 * np.abs(z)
+    small = (0.5 * rho) * (0.5 * rho / big)
+    north = z >= 0.0
+    cos = np.sqrt(np.where(north, big, small) / r)
+    sin = np.sqrt(np.where(north, small, big) / r)
+    phase = np.ones(len(r), dtype=complex)
+    np.divide(x + 1j * y, rho, out=phase, where=rho > 0.0)
+    a, b = (sin, -cos) if _BAND_INDEX[band] == 0 else (cos, sin)   # state (a, e^{ip} b)
+    lead = a > TOL.gauge_zero   # else the second entry is made real positive
+    states = np.empty((len(r), 2), dtype=complex)
+    states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
+    states[:, 1] = np.where(lead, phase * b, np.abs(b))
+    return states
+
+
+def _metric(n, norm, dim_k: int) -> np.ndarray:
+    """Metric from gated Bloch vectors on a stacked k, k +- h e_i; see metric_grid."""
+    unit = (n / norm[:, None]).reshape(1 + 2 * dim_k, len(n) // (1 + 2 * dim_k), 3)
+    dn = ((unit[1::2] - unit[2::2]) / (2.0 * TOL.fd_step)).swapaxes(0, 1)
+    if not np.all(np.isfinite(dn)):
+        raise NonFiniteDerivative("non-finite Bloch-vector difference")
+    return 0.25 * np.einsum("nmi,nli->nml", dn, dn)
 
 
 def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
@@ -263,29 +303,8 @@ def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
     first gap closing (e.g. the Dirac point, or the SSH critical point v = w
     at k a = pi).
     """
-    idx = _BAND_INDEX[band]
-    ks = np.asarray(ks, dtype=float)
-    x, y, z = bloch(spec, ks).T
-    rho = np.hypot(x, y)
-    r = np.hypot(rho, z)
-    _check_gap(spec, ks, 2.0 * r, r)   # eigenvalues -+r
-    if not np.all(np.isfinite(r)):
-        raise ValueError("vector has non-finite entries")
-    # (r + |z|) / 2 and (r - |z|) / 2 = rho^2 / (2 (r + |z|)), free of
-    # cancellation and overflow; r > 0 past the gate
-    big = 0.5 * r + 0.5 * np.abs(z)
-    small = (0.5 * rho) * (0.5 * rho / big)
-    north = z >= 0.0
-    cos = np.sqrt(np.where(north, big, small) / r)
-    sin = np.sqrt(np.where(north, small, big) / r)
-    phase = np.ones(len(r), dtype=complex)
-    np.divide(x + 1j * y, rho, out=phase, where=rho > 0.0)
-    a, b = (sin, -cos) if idx == 0 else (cos, sin)   # state (a, e^{ip} b)
-    lead = a > TOL.gauge_zero   # else the second entry is made real positive
-    states = np.empty((len(r), 2), dtype=complex)
-    states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
-    states[:, 1] = np.where(lead, phase * b, np.abs(b))
-    return states
+    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
+    return _spinors(*_gated_bloch(spec, ks), band)
 
 
 def band_state(spec: ModelSpec, k, band: str = "lower") -> np.ndarray:
@@ -301,13 +320,6 @@ def band_chart(spec: ModelSpec, band: str = "lower",
                  d=spec.dim_k, step=step)
 
 
-def _unit_bloch(spec: ModelSpec, ks) -> np.ndarray:
-    n = bloch(spec, ks)
-    norm = _norm(n)
-    _check_gap(spec, ks, 2.0 * norm, norm)   # eigenvalues -+|n|
-    return n / norm[:, None]
-
-
 def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     """Quantum metric of one band at each k, shape (n, dim_k, dim_k).
 
@@ -320,15 +332,7 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     that order.
     """
     _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
-    ks = np.asarray(ks, dtype=float)
-    h = TOL.fd_step
-    steps = [h] if spec.dim_k == 1 else list(np.eye(2) * h)
-    stacked = np.concatenate([ks] + [ks + sign * e for e in steps for sign in (1, -1)])
-    unit = _unit_bloch(spec, stacked).reshape(1 + 2 * len(steps), len(ks), 3)
-    dn = ((unit[1::2] - unit[2::2]) / (2.0 * h)).swapaxes(0, 1)
-    if not np.all(np.isfinite(dn)):
-        raise NonFiniteDerivative("non-finite Bloch-vector difference")
-    return 0.25 * np.einsum("nmi,nli->nml", dn, dn)
+    return _metric(*_gated_bloch(spec, ks, ks), spec.dim_k)
 
 
 def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:
@@ -343,6 +347,17 @@ def bz_loop(spec: ModelSpec, band: str = "lower", n: int = 512) -> Loop:
     return Loop(band_states(spec, bz_grid(spec, n), band))
 
 
+def _fermi_circle(spec: ModelSpec, e_f: float, n: int):
+    """k_F and the (n', 2) unit directions of fermi_surface_loop's samples."""
+    if not 0.0 < e_f < np.inf:
+        raise OutOfRange(f"Fermi energy E_F must be finite and positive, got {e_f}")
+    if _KINDS[spec.kind].fermi is None:
+        raise WrongDimension("Fermi-surface loops need a 2D model")
+    k_f, n = _KINDS[spec.kind].fermi(spec.params, e_f, n)
+    alphas = 2.0 * np.pi * np.arange(n) / n
+    return k_f, np.stack([np.cos(alphas), np.sin(alphas)], axis=1)
+
+
 def fermi_surface_loop(spec: ModelSpec, e_f: float, n: int = 512):
     """Band-state loop on the circular Fermi surface at energy e_f > 0.
 
@@ -351,14 +366,8 @@ def fermi_surface_loop(spec: ModelSpec, e_f: float, n: int = 512):
     up to a multiple of N so the N-fold winding closes exactly on the
     sample grid (required for coincidence splitting).
     """
-    if e_f <= 0:
-        raise OutOfRange("Fermi energy must be positive")
-    if _KINDS[spec.kind].fermi is None:
-        raise WrongDimension("Fermi-surface loops need a 2D model")
-    k_f, n = _KINDS[spec.kind].fermi(spec.params, e_f, n)
-    alphas = 2.0 * np.pi * np.arange(n) / n
-    ks = k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1)
-    return Loop(band_states(spec, ks, "upper")), 2.0 * np.pi * k_f
+    k_f, directions = _fermi_circle(spec, e_f, n)
+    return Loop(band_states(spec, k_f * directions, "upper")), 2.0 * np.pi * k_f
 
 
 def dirac_metric(k) -> np.ndarray:
@@ -372,10 +381,3 @@ def dirac_metric(k) -> np.ndarray:
     if k2 == 0.0:
         raise SingularAtDiracPoint("metric diverges at k = 0")
     return np.array([[ky**2, -kx * ky], [-kx * ky, kx**2]]) / (4.0 * k2**2)
-
-
-def chiral_operator(spec: ModelSpec) -> np.ndarray:
-    """Operator anticommuting with the Hamiltonian of each built-in."""
-    if _KINDS[spec.kind].chiral is None:
-        raise OutOfRange(f"no chiral operator declared for {spec.kind!r}")
-    return _KINDS[spec.kind].chiral

@@ -6,8 +6,9 @@ complex product, spherical areas from l'Huilier's formula, and two-level
 dynamics from the closed-form matrix exponential.  The band-structure
 oracles evaluate one k point at a time, through the model's Hamiltonian
 and the generic chart path, never through the batched k-array code.  The np.roll overlap pass, the
-Gram-matrix splitter and the list-based simplex are earlier
-implementations, kept so the current ones can be held to them bit for bit.
+Gram-matrix splitter, the list-based simplex and the bound chains composed
+of the public model functions are earlier implementations, kept so the
+current ones can be held to them bit for bit.
 """
 
 import cmath
@@ -139,6 +140,60 @@ def per_k_band_states(spec, ks, band) -> np.ndarray:
         lead = v[np.flatnonzero(np.abs(v) > 1e-10)[0]]
         out.append(v / (lead / abs(lead)))
     return np.array(out)
+
+
+# operators that anticommute with H(k) = n(k).sigma of each built-in kind
+# whose Bloch vector lies in a coordinate plane (sigma_z or sigma_y)
+CHIRAL_OPERATORS = {
+    "ssh": np.array([[1, 0], [0, -1]], dtype=complex),
+    "creutz": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "rhombohedral": np.array([[1, 0], [0, -1]], dtype=complex),
+    "dirac": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def composed_band_chain(spec, band, n_k):
+    """(Omega_1, d_fs, gamma_b) of a 1D band composed of the public calls:
+    metric_grid on the Brillouin-zone grid, then summarize(bz_loop(...)),
+    one Bloch evaluation each."""
+    from qii.geometry import summarize
+    from qii.models import bz_grid, bz_loop, metric_grid
+    omega1 = float(np.mean(metric_grid(spec, band, bz_grid(spec, n_k))[:, 0, 0]))
+    s = summarize(bz_loop(spec, band, n_k))
+    return omega1, s.d_fs, s.gamma_b
+
+
+def composed_wannier_values(spec, band, n_k):
+    omega1, d, gamma = composed_band_chain(spec, band, n_k)
+    a = spec.a
+    return omega1, (a * d / (2.0 * np.pi)) ** 2, (a * gamma / (2.0 * np.pi)) ** 2
+
+
+def composed_superfluid_values(spec, u, nu, n_k):
+    if spec.kind == "ssh" and spec.params["v"] * spec.params["w"] == 0.0:
+        return 0.0, 0.0, 0.0
+    omega1, d, gamma = composed_band_chain(spec, "lower", n_k)
+    factor = u * nu * (1.0 - nu)
+    d_s = factor / (np.pi**2 * 2) * (omega1 * 2.0 * np.pi / spec.a)
+    pref = spec.a * factor / (2.0 * np.pi**3 * 2)
+    return d_s, pref * d**2, pref * gamma**2
+
+
+def composed_eph_values(spec, e_f, n):
+    """The eph chain from fermi_surface_loop, metric_grid on the circle of
+    radius l_fs / 2 pi, split_self_intersections and summarize."""
+    from qii.geometry import aggregate_summary, summarize
+    from qii.loops import split_self_intersections
+    from qii.models import fermi_surface_loop, metric_grid
+    loop, l_fs = fermi_surface_loop(spec, e_f, n)
+    k_f = l_fs / (2.0 * np.pi)
+    alphas = 2.0 * np.pi * np.arange(loop.n) / loop.n
+    g = metric_grid(spec, "upper", k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1))
+    that = np.stack([-np.sin(alphas), np.cos(alphas)], axis=1)
+    agg = aggregate_summary([summarize(p) for p in split_self_intersections(loop)])
+    return (float(np.trace(g, axis1=1, axis2=2).sum() * l_fs / loop.n),
+            float(np.einsum("ni,nij,nj->", that, g, that) * l_fs / loop.n),
+            agg.d_fs**2 / l_fs, agg.gamma_total**2 / l_fs)
 
 
 def chart_metric_grid(spec, band, ks) -> np.ndarray:

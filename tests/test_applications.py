@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import (chart_metric_grid, per_k_band_states, two_level_propagator,
+from oracles import (chart_metric_grid, composed_eph_values, composed_superfluid_values,
+                     composed_wannier_values, per_k_band_states, two_level_propagator,
                      unwrapped_winding_metric_integral)
 from qii import applications, geometry, models
 from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
+from qii.config import TOL
 from qii.core import eigh
-from qii.errors import NotCyclic, OutOfRange
+from qii.errors import DegenerateAtTolerance, NonFiniteDerivative, NotCyclic, OutOfRange
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
 from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
@@ -225,6 +229,14 @@ def test_sfweight_validates_filling():
         superfluid_weight_1d(creutz(1.0), u=1.0, nu=1.5)
 
 
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_sfweight_needs_a_finite_positive_attraction(u):
+    # the dimerized SSH chain returns before any k-space work, and still checks U
+    for spec in (creutz(1.0), ssh(0, 1)):
+        with pytest.raises(OutOfRange, match="U must be finite and positive"):
+            superfluid_weight_1d(spec, u=u, nu=0.5)
+
+
 # --- random gapped models ---
 
 def test_random_model_chains_monotone():
@@ -301,6 +313,144 @@ def test_chains_make_no_per_k_calls(monkeypatch):
             chain(n)
             counts.append(dict(calls))
         assert counts[0] == counts[1] and counts[1]["eigh"] <= 2 and counts[1]["qgt_at"] == 0
+
+
+_K24 = np.linspace(0.1, 2 * np.pi, 24, endpoint=False)
+# one model of every 1D kind; the table model has a non-unit lattice constant
+_ONE_D = [ssh(0, 1), ssh(1, 0), ssh(2, 1), ssh(1, 2, a=1.3), creutz(1.0),
+          bloch_table(_K24 / 1.7, np.c_[1.4 + np.cos(_K24), np.sin(_K24), 0.3 * np.cos(2 * _K24)],
+                      a=1.7)] + [random_gapped_bloch_spec(r) for r in range(3)]
+
+
+@pytest.mark.parametrize("n_k", [24, 97])
+@pytest.mark.parametrize("spec", _ONE_D, ids=lambda s: s.describe())
+def test_1d_chains_equal_their_composition_exactly(spec, n_k):
+    # one Bloch evaluation per chain gives the values of metric_grid, then
+    # summarize(bz_loop(...)), bit for bit
+    for band in ("lower", "upper"):
+        got = tuple(wannier_bound_chain(spec, band, n_k).values)
+        assert got == composed_wannier_values(spec, band, n_k)
+    got = tuple(superfluid_weight_1d(spec, 1.3, 0.4, n_k).values)
+    assert got == composed_superfluid_values(spec, 1.3, 0.4, n_k)
+
+
+def test_eph_chains_equal_their_composition_exactly():
+    # fermi_surface_loop, metric_grid, split_self_intersections and summarize
+    # give the fused chain's values bit for bit; the energies cover radii
+    # whose l_fs / 2 pi is one rounding off k_F
+    rng = np.random.default_rng(8)
+    cases = [(dirac(v_f), e_f, e_f / v_f) for v_f, e_f in rng.uniform(0.5, 2.0, (4, 2))]
+    cases += [(rhombohedral(layers, scale), e_f, (e_f / scale) ** (1.0 / layers))
+              for layers in range(1, 6) for scale, e_f in rng.uniform(0.5, 2.0, (3, 2))]
+    radii_off = 0
+    for spec, e_f, k_f in cases:
+        radii_off += 2 * np.pi * k_f / (2 * np.pi) != k_f
+        for n in (64, 97):
+            got = tuple(eph_bound_chain(spec, e_f, n).values)
+            assert got == composed_eph_values(spec, e_f, n)
+    assert radii_off > 0
+
+
+def _closing_after_a_step(n_k):
+    # n(k) = (1 - cos(k - c), sin(k - c), 0) closes its gap at c = k_j + h only
+    c = bz_grid(ssh(1, 1), n_k)[n_k // 3] + TOL.fd_step
+    return fourier_bloch([1, 0, 0], [[-np.cos(c), -np.sin(c), 0]],
+                         [[-np.sin(c), np.cos(c), 0]])
+
+
+def _nan_bloch(monkeypatch, kind):
+    real = models._KINDS[kind]
+    monkeypatch.setitem(models._KINDS, kind, dataclasses.replace(
+        real, bloch=lambda spec, ks: np.full((len(ks), 3), np.nan)))
+
+
+_CHAINS = {
+    "wannier": lambda spec: wannier_bound_chain(spec, n_k=24),
+    "superfluid": lambda spec: superfluid_weight_1d(spec, 1.0, 0.5, n_k=24),
+}
+
+
+# error type and message of each chain as recorded before the chains shared
+# one Bloch evaluation
+@pytest.mark.parametrize("chain", list(_CHAINS))
+@pytest.mark.parametrize("case, error, message", [
+    ("closing at k", DegenerateAtTolerance,
+     "gap 2.449e-16 at k = 3.141592653589793 below 1e-09 * model scale"),
+    ("closing at k + h", DegenerateAtTolerance,
+     "gap 2.220e-16 at k = 2.0944951023931955 below 1e-09 * model scale"),
+    ("non-finite", NonFiniteDerivative, "non-finite Bloch-vector difference"),
+])
+def test_1d_chain_errors_are_pinned(monkeypatch, chain, case, error, message):
+    spec = {"closing at k": ssh(1, 1), "closing at k + h": _closing_after_a_step(24),
+            "non-finite": ssh(2, 1)}[case]
+    if case == "non-finite":
+        _nan_bloch(monkeypatch, "ssh")
+    with pytest.raises(error) as info:
+        _CHAINS[chain](spec)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case, e_f, error, message", [
+    ("closing at k", 1e-12, DegenerateAtTolerance,
+     "gap 2.000e-12 at k = [1.e-12 0.e+00] below 1e-09 * model scale"),
+    # k_F = h: k + h e_1 is the Dirac point at alpha = pi
+    ("closing at k + h", TOL.fd_step, DegenerateAtTolerance,
+     "gap 2.449e-20 at k = [0.0000000e+00 1.2246468e-20] below 1e-09 * model scale"),
+    ("non-finite", 1.0, ValueError, "vector has non-finite entries"),
+])
+def test_eph_chain_errors_are_pinned(monkeypatch, case, e_f, error, message):
+    if case == "non-finite":
+        _nan_bloch(monkeypatch, "dirac")
+    with pytest.raises(error) as info:
+        eph_bound_chain(dirac(1.0), e_f, 32)
+    assert str(info.value) == message
+
+
+def test_chains_evaluate_the_bloch_vectors_once(monkeypatch):
+    # the loop's states and the metric come from one Bloch call on the
+    # stacked k, k +- h e_i; superfluid adds its 64-point flatness grid
+    calls = []
+    real = models.bloch
+
+    def spy(spec, ks):
+        calls.append(len(ks))
+        return real(spec, ks)
+
+    monkeypatch.setattr(models, "bloch", spy)
+    monkeypatch.setattr(applications, "bloch", spy)
+    spec = random_gapped_bloch_spec(5)
+    for n in (32, 96):
+        for chain, expected in ((lambda: wannier_bound_chain(spec, n_k=n), [3 * n]),
+                                (lambda: superfluid_weight_1d(spec, 1.0, 0.5, n_k=n),
+                                 [64, 3 * n]),
+                                (lambda: eph_bound_chain(dirac(1.0), 1.0, n), [5 * n])):
+            calls.clear()
+            chain()
+            assert calls == expected
+
+
+def test_chains_make_one_overlap_pass_per_summarized_loop(monkeypatch):
+    # Loop's segment gate makes the full-resolution pass and summarize
+    # reuses it; only the half-resolution estimate makes one of its own
+    sizes = []
+    real = geometry._overlap_pass
+
+    def spy(states):
+        sizes.append(len(states))
+        return real(states)
+
+    monkeypatch.setattr(geometry, "_overlap_pass", spy)
+    spec = random_gapped_bloch_spec(5)
+    for chain, expected in (
+            (lambda: wannier_bound_chain(spec, n_k=96), [96, 48]),
+            (lambda: superfluid_weight_1d(spec, 1.0, 0.5, n_k=96), [96, 48]),
+            (lambda: eph_bound_chain(dirac(1.0), 1.0, 256), [256, 128]),
+            # the gates of the whole Fermi loop and its two sub-loops, then
+            # the halves of the sub-loops
+            (lambda: eph_bound_chain(rhombohedral(2), 1.0, 256), [256, 128, 128, 64, 64])):
+        sizes.clear()
+        chain()
+        assert sizes == expected
 
 
 def test_band_paths_never_call_eigh(monkeypatch):

@@ -53,9 +53,9 @@ def test_strong_verify_summarizes_an_unsplit_loop_once(monkeypatch):
     assert len(calls) == sum(1 if r[-1] == 1 else 1 + r[-1] for r in rows)
 
 
-def test_weak_verify_makes_three_overlap_passes_a_row(monkeypatch):
-    # Loop's segment gate, summarize's full loop and its half-resolution
-    # estimate; fourier_loop gates through Loop instead of a pass of its own
+def test_weak_verify_makes_two_overlap_passes_a_row(monkeypatch):
+    # Loop's segment gate, which summarize reuses for the full loop, and the
+    # half-resolution estimate; fourier_loop gates through Loop
     calls = []
     overlap_pass = geometry._overlap_pass
 
@@ -64,9 +64,8 @@ def test_weak_verify_makes_three_overlap_passes_a_row(monkeypatch):
         return overlap_pass(states)
 
     monkeypatch.setattr(geometry, "_overlap_pass", spy)
-    monkeypatch.setattr(loops, "_overlap_pass", spy)
     rows = cli.run_weak_suite(3, 10, 2, 2048, 0)
-    assert len(calls) == 3 * len(rows) == 30
+    assert len(calls) == 2 * len(rows) == 20
 
 
 @pytest.mark.parametrize("report", ["weak_qii", "strong_qii"])
@@ -471,6 +470,17 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["apps", "--app", "eph"], ["models"]])
+@pytest.mark.parametrize("e_f", ["nan", "inf", "-inf", "0", "-1"])
+def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command, e_f):
+    # warnings are errors under this suite's filterwarnings, so none is raised
+    argv = command + ["--model", "dirac", f"--ef={e_f}", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Fermi energy E_F must be finite and positive")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--m", "3", "--loops", "0"],
     ["verify", "--m", "3", "--n", "16"],
@@ -492,6 +502,10 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "nan,0,1"],
     ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--axis", "1,x,2"],
     ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--turns", "0"],
+    ["apps", "--app", "sfweight", "--u", "nan"],
+    ["apps", "--app", "sfweight", "--u", "inf"],
+    ["apps", "--app", "sfweight", "--u", "-1"],
+    ["apps", "--app", "sfweight", "--u", "0"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

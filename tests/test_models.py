@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import chart_metric_grid, per_k_band_states
+from oracles import CHIRAL_OPERATORS, chart_metric_grid, per_k_band_states
 from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
@@ -16,7 +16,7 @@ from qii.geometry import (PAULI, bloch_vectors, loop_berry_phase,
 from qii.inequalities import aggregate_subloops
 from qii.loops import load_loop, split_self_intersections
 from qii.models import (band_chart, band_state, band_states, bloch, bloch_table,
-                        bloch_table_from_csv, bz_loop, chiral_operator,
+                        bloch_table_from_csv, bz_loop,
                         creutz, dirac, dirac_metric, fermi_surface_loop,
                         fourier_bloch, hamiltonian, metric_grid, model_from_json,
                         rhombohedral, ssh)
@@ -67,7 +67,7 @@ def test_chiral_symmetry_all_builtins():
         (creutz(1.2), rng.uniform(0, 2 * np.pi, 16)),
     ]
     for spec, ks in specs_and_ks:
-        c = chiral_operator(spec)
+        c = CHIRAL_OPERATORS[spec.kind]
         for k in ks:
             h = hamiltonian(spec, k)
             assert np.abs(c @ h + h @ c).max() < 1e-12
@@ -152,6 +152,14 @@ def test_rhombohedral_winding(n_layers):
 def test_fermi_surface_needs_positive_energy():
     with pytest.raises(OutOfRange):
         fermi_surface_loop(dirac(1.0), -1.0)
+
+
+@pytest.mark.parametrize("e_f", [np.nan, np.inf, -np.inf, 0.0])
+def test_fermi_surface_needs_a_finite_positive_energy(e_f):
+    # nan is not <= 0, and inf reaches the k_F arithmetic: both are refused first
+    for spec in (dirac(1.0), rhombohedral(2)):
+        with pytest.raises(OutOfRange, match="E_F must be finite and positive"):
+            fermi_surface_loop(spec, e_f)
 
 
 # --- dirac_metric ---
@@ -282,12 +290,6 @@ def test_bloch_rejects_wrong_k_shapes():
         bloch(ssh(1, 2), np.zeros((4, 2)))
     with pytest.raises(WrongDimension):
         bloch(dirac(1.0), np.zeros(4))
-
-
-def test_chiral_operator_only_for_builtins():
-    for spec in EVERY_KIND[2:4]:
-        with pytest.raises(OutOfRange):
-            chiral_operator(spec)
 
 
 # --- k-array paths against the per-k oracles ---
