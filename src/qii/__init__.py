@@ -15,10 +15,10 @@ from .applications import (BoundChain, SpeedLimitReport, Trajectory,
                            superfluid_weight_1d, wannier_bound_chain,
                            wannier_omega1)
 from .config import TOL, Tolerances
-from .core import ProjectivePoint, eigh, gauge_fix, normalize, overlap, projector
 from .geometry import (Chart, Loop, LoopSummary, QGTensor, bloch_solid_angle,
-                       bloch_vectors, loop_berry_phase, loop_distance,
-                       principal_phase, qgt_at, segment_distance, summarize)
+                       bloch_vectors, loop_berry_phase, loop_distance, normalize,
+                       principal_phase, projector, qgt_at, segment_distance,
+                       summarize)
 from .inequalities import (IneqReport, aggregate_subloops, plane_check,
                            sphere_check, strong_qii, tol_for, weak_qii)
 from .loops import (FourierLoopSpec, bloch_circle, fourier_loop, great_circle,
@@ -27,6 +27,6 @@ from .loops import (FourierLoopSpec, bloch_circle, fourier_loop, great_circle,
 from .models import (ModelSpec, band_chart, band_state, band_states, bloch,
                      bloch_table, bloch_table_from_csv, bz_grid, bz_loop, creutz,
                      dirac, dirac_metric, fermi_surface_loop, fourier_bloch,
-                     hamiltonian, metric_grid, model_from_json, rhombohedral, ssh)
+                     metric_grid, model_from_json, rhombohedral, ssh)
 from .search import (SearchConfig, SearchResult, extremality_scan,
                      minimize_margin, qii_objective)

@@ -13,11 +13,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-# no chain calls qgt_at, bz_loop or fermi_surface_loop; bench/run.py traces them here
-from .geometry import Loop, aggregate_summary, qgt_at, segment_distance, summarize  # noqa: F401
+from .geometry import Loop, aggregate_summary, segment_distance, summarize
 from .models import (ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors, bloch,
-                     bz_grid, bz_loop, fermi_surface_loop, fourier_bloch,  # noqa: F401
-                     metric_grid)
+                     bz_grid, fourier_bloch, metric_grid)
 from .loops import split_self_intersections
 
 __all__ = [
@@ -96,20 +94,20 @@ def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> floa
 
 
 def _band_chain(spec: ModelSpec, band: str, n_k: int):
-    """(wannier_omega1, summarize(bz_loop(...))) from one Bloch evaluation:
-    the metric's stacked k rows are the loop's momenta."""
+    """(wannier_omega1, summarize(bz_loop(...)), |n(k)| on the loop's momenta)
+    from one Bloch evaluation: the metric's stacked k rows are the loop's momenta."""
     if spec.dim_k != 1:
         raise OutOfRange("the Wannier chain is implemented for 1D models")
     ks = bz_grid(spec, n_k)
     vec, norm = _gated_bloch(spec, ks, ks)
     omega1 = float(np.mean(_metric(vec, norm, 1)[:, 0, 0]))
-    return omega1, summarize(Loop(_spinors(vec[:len(ks)], norm[:len(ks)], band)))
+    return omega1, summarize(Loop(_spinors(vec[:n_k], norm[:n_k], band))), norm[:n_k]
 
 
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
                         n_k: int = 256) -> BoundChain:
     """Chain Omega_1 >= (a d / 2 pi)^2 >= (a gamma / 2 pi)^2 for a 1D band."""
-    omega1, s = _band_chain(spec, band, n_k)
+    omega1, s, _ = _band_chain(spec, band, n_k)
     a = spec.a
     return BoundChain(entries=(
         ("omega_1", omega1),
@@ -276,10 +274,9 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
         return BoundChain(entries=(
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
-    upper = np.hypot.reduce(bloch(spec, bz_grid(spec, 64)), axis=1)   # E_+ = |n(k)|
+    omega1, s, upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
     if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
-    omega1, s = _band_chain(spec, "lower", n_k)
     integral = omega1 * 2.0 * np.pi / spec.a
     factor = u * nu * (1.0 - nu)
     d_s = factor / (np.pi**2 * m_bands) * integral

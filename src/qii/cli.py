@@ -278,8 +278,6 @@ def _cmd_apps(args) -> int:
                                                steps=args.steps)
         chain = report.chain
         notes = (f"gamma_b={gamma:.9g}", f"eq8_residual={report.residual:.3e}")
-    else:
-        raise _UsageError(f"unknown application {args.app!r}")
     _write_csv(out / "chain.csv", ["label", "value", "unit"],
                [[label, value, chain.unit] for label, value in chain.entries])
     monotone = chain.is_monotone()
@@ -495,6 +493,27 @@ def build_parser():
     return parser, by_name
 
 
+def _config_value(action, value):
+    """A --config value converted and checked as the same flag's text would be:
+    by the flag's type, then against its choices."""
+    if action.nargs == 0:   # a switch such as --strong
+        if not isinstance(value, bool):
+            raise _UsageError(f"config {action.dest!r} must be true or false, got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    text = (",".join(map(str, value)) if action.type is _int_list and isinstance(value, list)
+            else str(value))
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise _UsageError(f"bad config {action.dest!r}: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(f"config {action.dest!r} must be one of "
+                          f"{list(action.choices)}, got {value!r}")
+    return value
+
+
 def _check_args(args):
     """Usage checks on parsed values, so flags and --config defaults both pass them."""
     if args.command == "figure1" and min(args.n_list, default=0) < 3:
@@ -539,10 +558,12 @@ def main(argv=None) -> int:
             if not isinstance(defaults, dict):
                 raise _UsageError("--config must hold a JSON object")
             sub = by_name[args.command]
-            unknown = set(defaults) - {a.dest for a in sub._actions}
+            actions = {a.dest: a for a in sub._actions}
+            unknown = set(defaults) - set(actions)
             if unknown:
                 raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-            sub.set_defaults(**defaults)
+            sub.set_defaults(**{key: _config_value(actions[key], value)
+                                for key, value in defaults.items()})
             args = parser.parse_args(argv)
         _check_args(args)
     except _UsageError as exc:

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     norm: float = 1e-12            # |  ||v|| - 1 | allowed for a state vector
-    hermitian: float = 1e-12       # max|H - H^dag| relative to matrix scale
     degeneracy: float = 1e-9       # band gap below degeneracy*||H|| is ill-posed
     zero_vector: float = 1e-300    # norms at or below this cannot be normalized
     gauge_zero: float = 1e-10      # "first nonzero entry" threshold for gauge fixing
-    projective_eq: float = 1e-12   # | |<a|b>| - 1 | below this means the same ray
     segment_overlap: float = 1e-9  # consecutive loop states must overlap above this
     split: float = 1e-7            # projective coincidence threshold when splitting
     fd_step: float = 1e-4          # central-difference step for the geometric tensor

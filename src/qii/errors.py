@@ -13,10 +13,6 @@ class DimensionMismatch(QiiError):
     """Operands with incompatible dimensions."""
 
 
-class NotHermitian(QiiError):
-    """Matrix fails the Hermiticity check."""
-
-
 class DegenerateAtTolerance(QiiError):
     """Requested a single band whose gap is below the degeneracy tolerance."""
 

@@ -4,7 +4,9 @@ A loop is an ordered cyclic sequence of normalized states; its two
 macroscopic invariants are the Fubini-Study length (sum of geodesic
 segment distances arccos|<psi_j|psi_{j+1}>|) and the Berry phase (the
 Pancharatnam phase of the cyclic overlap product).  Both are manifestly
-gauge invariant, so no gauge smoothing is ever needed.
+gauge invariant, so no gauge smoothing is ever needed.  A chart maps real
+parameters to states; its geometric tensor comes from central differences
+of the state projector.
 """
 
 from dataclasses import dataclass, field
@@ -13,15 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .config import TOL
-from .core import normalize, projector
-from .errors import (IllConditionedSegment, NonFiniteDerivative,
-                     PoleDegenerate, WrongDimension)
-
-PAULI = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
+from .errors import (DimensionMismatch, IllConditionedSegment, NonFiniteDerivative,
+                     PoleDegenerate, WrongDimension, ZeroVector)
 
 
 def principal_phase(x: float, guard: float = TOL.branch_guard) -> float:
@@ -290,6 +285,33 @@ class QGTensor:
     @property
     def trace_g(self) -> float:
         return float(np.trace(self.g).real)
+
+
+def _as_cvector(v) -> np.ndarray:
+    """Coerce to a finite 1-D complex array."""
+    arr = np.asarray(v, dtype=complex)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValueError("vector has non-finite entries")
+    return arr
+
+
+def normalize(v) -> np.ndarray:
+    """Return v / ||v||, preserving direction."""
+    arr = _as_cvector(v)
+    nrm = np.linalg.norm(arr)
+    if nrm <= TOL.zero_vector:
+        raise ZeroVector(f"cannot normalize a vector of norm {nrm}")
+    return arr / nrm
+
+
+def projector(psi) -> np.ndarray:
+    """Rank-one projector |psi><psi| for a normalized state."""
+    arr = _as_cvector(psi)
+    if abs(np.linalg.norm(arr) - 1.0) > TOL.norm:
+        raise ZeroVector("projector requires a normalized state")
+    return np.outer(arr, arr.conj())
 
 
 def _projector_at(chart: Chart, lam: np.ndarray) -> np.ndarray:

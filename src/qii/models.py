@@ -17,17 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .config import TOL
-# band states do not call eigh; it stays bound here because bench/run.py
-# traces models.eigh as a layer and a test counts its calls
-from .core import eigh  # noqa: F401
 from .errors import (DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
                      OutOfRange, SingularAtDiracPoint, WrongDimension)
-from .geometry import PAULI, Chart, Loop
+from .geometry import Chart, Loop
 
 __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
-    "hamiltonian", "band_state", "band_states", "band_chart", "metric_grid",
+    "band_state", "band_states", "band_chart", "metric_grid",
     "bz_grid", "bz_loop", "fermi_surface_loop", "dirac_metric",
 ]
 
@@ -235,11 +232,6 @@ def bloch(spec: ModelSpec, ks) -> np.ndarray:
     return _KINDS[spec.kind].bloch(spec, ks)
 
 
-def hamiltonian(spec: ModelSpec, k) -> np.ndarray:
-    """Hermitian 2x2 Bloch Hamiltonian n(k).sigma at momentum k."""
-    return np.einsum("i,ijk->jk", bloch(spec, np.asarray(k, dtype=float)[None])[0], PAULI)
-
-
 def _gated_bloch(spec: ModelSpec, ks, centers=None):
     """Bloch vectors and norms from one `bloch` call on the stacked [ks, c +- h e_i]
     (c = centers, h = TOL.fd_step; ks alone without centers), gap-gated once:
@@ -299,9 +291,8 @@ def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
     the upper band of n.sigma is (cos t/2, e^{ip} sin t/2), the lower band
     (sin t/2, -e^{ip} cos t/2), with e^{ip} = 1 on the poles.  The global
     phase makes the first entry above TOL.gauge_zero in modulus real
-    positive, as core.gauge_fix does.  Raises DegenerateAtTolerance at the
-    first gap closing (e.g. the Dirac point, or the SSH critical point v = w
-    at k a = pi).
+    positive.  Raises DegenerateAtTolerance at the first gap closing (e.g.
+    the Dirac point, or the SSH critical point v = w at k a = pi).
     """
     _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
     return _spinors(*_gated_bloch(spec, ks), band)

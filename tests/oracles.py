@@ -129,10 +129,22 @@ def gram_split(states, tol) -> list:
     return [states]
 
 
+PAULI = np.array([
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
+
+
+def hamiltonian(spec, k) -> np.ndarray:
+    """Hermitian 2x2 Bloch Hamiltonian n(k).sigma at momentum k."""
+    from qii.models import bloch
+    return np.einsum("i,ijk->jk", bloch(spec, np.asarray(k, dtype=float)[None])[0], PAULI)
+
+
 def per_k_band_states(spec, ks, band) -> np.ndarray:
     """Band states one k at a time: numpy eigh of H(k), then the phase that
     makes the first entry above 1e-10 in modulus real positive."""
-    from qii.models import hamiltonian
     out = []
     for k in ks:
         _, vecs = np.linalg.eigh(hamiltonian(spec, k))

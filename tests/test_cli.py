@@ -526,6 +526,37 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, config", [
+    (["models"], {"model": "nope"}),
+    (["models"], {"band": "middle"}),
+    (["apps", "--app", "wannier"], {"band": "middle"}),
+    (["verify", "--m", "2"], {"n": 256.5}),
+    (["verify", "--m", "2"], {"loops": 2.5}),
+])
+def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, command, config):
+    # config values pass the choices and types their flags do
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_lists_and_switches_keep_working(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_list": [3, 5]}')
+    assert main(["figure1", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+    assert [r[0] for r in _read_csv(tmp_path / "f" / "planar.csv")[1:]] == ["3", "5"]
+    cfg.write_text('{"loops": 2, "n": 64, "strong": true}')
+    assert main(["verify", "--m", "2", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    assert _read_csv(tmp_path / "v" / "margins.csv")[0][-1] == "n_subloops"
+    cfg.write_text('{"seeds": [1, 2], "budget": 100, "n": 64}')
+    assert main(["search", "--m", "2", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "run.json").read_text())["seeds"] == [1, 2]
+
+
 @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
 def test_config_is_read_in_every_spelling(tmp_path, spelling):
     cfg = tmp_path / "cfg.json"

@@ -4,10 +4,10 @@ import pytest
 from oracles import (brute_berry_phase, brute_distance, cap_area,
                      roll_berry_phase, roll_distance)
 from qii.config import TOL
-from qii.errors import IllConditionedSegment, WrongDimension
+from qii.errors import IllConditionedSegment, WrongDimension, ZeroVector
 from qii.geometry import (Chart, Loop, _scalars, bloch_solid_angle, bloch_vectors,
-                          loop_berry_phase, loop_distance, principal_phase,
-                          qgt_at, segment_distance, summarize)
+                          loop_berry_phase, loop_distance, normalize, principal_phase,
+                          projector, qgt_at, segment_distance, summarize)
 from qii.loops import (bloch_circle, bloch_states, fourier_loop, fourier_states,
                        great_circle, random_fourier_spec)
 
@@ -20,6 +20,55 @@ def _constant_loop(n=16, m=2):
 
 def _random_loop(seed, m=2, n=256):
     return fourier_loop(random_fourier_spec(m, 2, n, seed))
+
+
+def _random_state(rng, m):
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return v / np.linalg.norm(v)
+
+
+# --- normalize ---
+
+def test_normalize_identity():
+    np.testing.assert_allclose(normalize([1, 0]), [1, 0])
+
+
+def test_normalize_symmetric():
+    np.testing.assert_allclose(normalize([1, 1]), np.array([1, 1]) / np.sqrt(2))
+
+
+def test_normalize_345():
+    np.testing.assert_allclose(normalize([3j, 4]), [0.6j, 0.8])
+
+
+def test_normalize_zero_vector():
+    with pytest.raises(ZeroVector):
+        normalize([0.0, 0.0])
+
+
+# --- projector ---
+
+def test_projector_pole():
+    np.testing.assert_allclose(projector([1, 0]), [[1, 0], [0, 0]])
+
+
+def test_projector_plus_state():
+    p = projector(np.array([1, 1]) / np.sqrt(2))
+    np.testing.assert_allclose(p, [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_projector_conjugation():
+    p = projector(np.array([1, 1j]) / np.sqrt(2))
+    np.testing.assert_allclose(p, [[0.5, -0.5j], [0.5j, 0.5]])
+
+
+def test_projector_idempotent_trace_random():
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        p = projector(_random_state(rng, rng.integers(2, 7)))
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.trace(p).imag) < 1e-12
 
 
 # --- Loop invariants ---

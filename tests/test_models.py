@@ -7,18 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import CHIRAL_OPERATORS, chart_metric_grid, per_k_band_states
+from oracles import CHIRAL_OPERATORS, PAULI, chart_metric_grid, hamiltonian, per_k_band_states
 from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
-from qii.geometry import (PAULI, bloch_vectors, loop_berry_phase,
-                          loop_distance, qgt_at, summarize)
+from qii.geometry import (bloch_vectors, loop_berry_phase, loop_distance, qgt_at,
+                          summarize)
 from qii.inequalities import aggregate_subloops
 from qii.loops import load_loop, split_self_intersections
 from qii.models import (band_chart, band_state, band_states, bloch, bloch_table,
                         bloch_table_from_csv, bz_loop,
                         creutz, dirac, dirac_metric, fermi_surface_loop,
-                        fourier_bloch, hamiltonian, metric_grid, model_from_json,
+                        fourier_bloch, metric_grid, model_from_json,
                         rhombohedral, ssh)
 
 _RNG = np.random.default_rng(12)
