@@ -203,8 +203,8 @@ def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0
     """
     if not 0.0 < theta_c < np.pi / 2:
         raise OutOfRange("cone angle must lie in (0, pi/2)")
-    if not ratio > 0.0:
-        raise OutOfRange(f"period ratio must be positive, got {ratio}")
+    if not 0.0 < ratio < np.inf:
+        raise OutOfRange(f"period ratio must be positive and finite, got {ratio}")
     omega_d = omega0 / ratio
 
     def h_of_t(t):

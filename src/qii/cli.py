@@ -516,6 +516,10 @@ def _config_value(action, value):
 
 def _check_args(args):
     """Usage checks on parsed values, so flags and --config defaults both pass them."""
+    # every float flag; a Fermi surface reports its own bad --ef (exit 2)
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and dest != "ef" and not np.isfinite(value):
+            raise _UsageError(f"--{dest.replace('_', '-')} must be finite, got {value}")
     if args.command == "figure1" and min(args.n_list, default=0) < 3:
         raise _UsageError(f"polygons need --n-list entries >= 3, got {args.n_list}")
     if args.command in ("models", "apps") and args.nk < 3:
@@ -525,12 +529,14 @@ def _check_args(args):
             raise _UsageError(f"need --steps >= 1, got {args.steps}")
         if not args.ratio > 0:
             raise _UsageError(f"need --ratio > 0, got {args.ratio}")
-        if args.app == "sfweight" and not 0.0 < args.u < np.inf:
-            raise _UsageError(f"need a finite attraction --u > 0, got {args.u}")
+        if args.app == "sfweight" and not args.u > 0:
+            raise _UsageError(f"need an attraction --u > 0, got {args.u}")
     if args.command == "loop-io" and args.action == "export" and args.generator == "great-circle":
         if args.turns < 1:
             raise _UsageError(f"need --turns >= 1, got {args.turns}")
         _axis_arg(args.axis)
+    if args.command == "search" and not args.coeff_bound > 0:
+        raise _UsageError(f"need --coeff-bound > 0, got {args.coeff_bound}")
     if args.command not in ("verify", "search"):
         return
     if args.m < 2:

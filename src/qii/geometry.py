@@ -19,6 +19,14 @@ from .errors import (DimensionMismatch, IllConditionedSegment, NonFiniteDerivati
                      PoleDegenerate, WrongDimension, ZeroVector)
 
 
+# np.add.reduce sums a contiguous run of 8 or more numbers pairwise and a
+# shorter run left to right, while it sums across the columns of a
+# column-major array left to right at any width.  Below this width, row
+# norms are therefore the same bit for bit in either layout, and only such
+# states are kept column-major.
+_COLUMN_MAJOR_BELOW = 8
+
+
 def principal_phase(x: float, guard: float = TOL.branch_guard) -> float:
     """Reduce a phase to (-pi, pi], resolving the branch edge to +pi.
 
@@ -39,6 +47,8 @@ class Loop:
     states has shape (n, M) with n >= 3; the sequence is cyclic, the
     closing segment being states[n-1] -> states[0].  Rows must be
     normalized and consecutive rows must not be (nearly) orthogonal.
+    The stored copy keeps the input's layout for M < 8 (a column-major
+    `fourier_states` array stays column-major) and is row-major otherwise.
     """
 
     states: np.ndarray
@@ -58,7 +68,7 @@ class Loop:
             raise IllConditionedSegment(
                 f"consecutive overlap {mod.min():.3e} below {TOL.segment_overlap:.0e} "
                 f"at segment {int(mod.argmin())}")
-        arr = arr.copy()
+        arr = arr.copy(order="K" if arr.shape[1] < _COLUMN_MAJOR_BELOW else "C")
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "_overlaps", overlaps)

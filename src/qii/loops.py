@@ -15,7 +15,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector)
-from .geometry import Loop, _row_norms
+from .geometry import _COLUMN_MAJOR_BELOW, Loop, _row_norms
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
@@ -153,9 +153,19 @@ def _fourier_basis(n: int, k: int) -> np.ndarray:
 
 
 def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
-    states = np.empty((spec.n, spec.m_dim), dtype=complex)
+    """The loop's n normalized samples (1, z(t_j)) / |(1, z(t_j))| at
+    t_j = 2 pi j / n, as an (n, M) array.
+
+    For M < 8 the array is column-major (Fortran order): a row norm then
+    adds M columns of n amplitudes instead of reducing each short row on
+    its own, about three times as fast at M = 3 and n = 2048.  The values
+    are the same bit for bit as in the row-major layout, which wider
+    states keep (`geometry._COLUMN_MAJOR_BELOW`).
+    """
+    order = "F" if spec.m_dim < _COLUMN_MAJOR_BELOW else "C"
+    states = np.empty((spec.n, spec.m_dim), dtype=complex, order=order)
     states[:, 0] = 1.0
-    np.matmul(_fourier_basis(spec.n, spec.k), spec.coeffs.T, out=states[:, 1:])
+    states[:, 1:] = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
     states /= _row_norms(states)[:, None]
     return states
 

@@ -11,15 +11,16 @@ times the resolution before being reported.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import TOL
-from .errors import DegenerateSpec, OutOfRange
+from .errors import BadResolution, DegenerateSpec, OutOfRange
 from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
 from .inequalities import _strong_margin
 from .loops import (FourierLoopSpec, _split_states, bloch_circle,
-                    fourier_states, perturb_circle)
+                    fourier_states, min_resolution, perturb_circle)
 
 __all__ = [
     "SearchConfig", "SearchResult", "qii_objective", "minimize_margin",
@@ -31,6 +32,9 @@ _PENALTY = 100.0
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings, checked once: every evaluation's coefficients then
+    form a valid `FourierLoopSpec` of shape (m_dim - 1, 2k + 1) at n."""
+
     m_dim: int
     k: int = 2
     n: int = 256
@@ -42,10 +46,15 @@ class SearchConfig:
     def __post_init__(self):
         if self.m_dim < 2:
             raise OutOfRange("need at least a two-level system")
+        if self.k < 0:
+            raise OutOfRange("harmonic cutoff must be >= 0")
+        if self.n < min_resolution(self.k):
+            raise BadResolution(f"n = {self.n} under-resolves harmonics up to {self.k}")
         if self.budget < 100:
             raise OutOfRange("budget must be at least 100 evaluations")
-        if self.coeff_bound <= 0:
-            raise OutOfRange("coefficient box must be positive")
+        if not 0.0 < self.coeff_bound < np.inf:
+            raise OutOfRange(f"coefficient box must be positive and finite, "
+                             f"got {self.coeff_bound}")
         if self.restarts < 1:
             raise OutOfRange("need at least one restart")
 
@@ -71,12 +80,14 @@ class SearchResult:
 
 
 def qii_objective(spec: FourierLoopSpec) -> float:
-    """Strong-QII margin of a Fourier loop, split into simple sub-loops first.
+    """Strong-QII margin of a Fourier loop, split into simple sub-loops first."""
+    return _margin(fourier_states(spec))
 
-    The cyclic overlaps of the full loop and their moduli gate it and, when
-    it does not split, give its distance and phase as well.
-    """
-    states = fourier_states(spec)
+
+def _margin(states: np.ndarray) -> float:
+    """`qii_objective` of sampled states.  The cyclic overlaps of the full
+    loop and their moduli gate it and, when it does not split, give its
+    distance and phase as well."""
     overlaps = _overlap_pass(states)
     low = overlaps[2].min()
     if low <= TOL.segment_overlap:
@@ -149,13 +160,21 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     evals = 0
     history = []
     best_x, best_f = None, np.inf
+    # what fourier_states reads of a spec; cfg has checked k, n and the shape,
+    # and each evaluation refills the coefficients in place
+    trial = SimpleNamespace(m_dim=cfg.m_dim, k=cfg.k, n=cfg.n,
+                            coeffs=np.empty((cfg.m_dim - 1, 2 * cfg.k + 1), dtype=complex))
+    real, imag = trial.coeffs.real.reshape(-1), trial.coeffs.imag.reshape(-1)
+    half = cfg.dims // 2
 
     def objective(x):
         top = np.abs(x).max()
         if top > cfg.coeff_bound:
             return _PENALTY * (1.0 + top - cfg.coeff_bound)
+        real[:] = x[:half]
+        imag[:] = x[half:]
         try:
-            return qii_objective(_spec_from_vector(x, cfg, cfg.n))
+            return _margin(fourier_states(trial))
         except DegenerateSpec:
             return _PENALTY
 

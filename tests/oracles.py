@@ -5,10 +5,11 @@ distances come from scalar math.acos loops, Berry phases from the raw
 complex product, spherical areas from l'Huilier's formula, and two-level
 dynamics from the closed-form matrix exponential.  The band-structure
 oracles evaluate one k point at a time, through the model's Hamiltonian
-and the generic chart path, never through the batched k-array code.  The np.roll overlap pass, the
-Gram-matrix splitter, the list-based simplex and the bound chains composed
-of the public model functions are earlier implementations, kept so the
-current ones can be held to them bit for bit.
+and the generic chart path, never through the batched k-array code.
+The np.roll overlap pass, the row-major Fourier sampler, the Gram-matrix
+splitter, the list-based simplex and the bound chains composed of the
+public model functions are earlier implementations, kept so the current
+ones can be held to them bit for bit.
 """
 
 import cmath
@@ -102,6 +103,19 @@ def unwrapped_winding_metric_integral(phi_values, dk) -> float:
     phi = np.unwrap(np.asarray(phi_values, dtype=float))
     dphi = np.gradient(phi, dk)
     return float(np.sum(dphi**2) * dk / 4.0)
+
+
+def row_major_fourier_states(spec) -> np.ndarray:
+    """The earlier `fourier_states`: the product written into a row-major
+    buffer, each row divided by the square root of its own reduced sum of
+    |amplitude|^2."""
+    t = 2.0 * np.pi * np.arange(spec.n) / spec.n
+    basis = np.exp(1j * np.outer(t, np.arange(-spec.k, spec.k + 1)))
+    states = np.empty((spec.n, spec.m_dim), dtype=complex)
+    states[:, 0] = 1.0
+    np.matmul(basis, spec.coeffs.T, out=states[:, 1:])
+    states /= np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))[:, None]
+    return states
 
 
 def gram_coincidence_pairs(states, tol) -> np.ndarray:

@@ -167,6 +167,9 @@ def test_evolve_and_cone_demo_reject_bad_parameters():
         evolve(lambda t: SX, [1, 0], 1.0, 0)
     with pytest.raises(OutOfRange):
         adiabatic_cone_demo(1.0, ratio=0.0)
+    for ratio in (np.inf, np.nan):   # inf made the drive frequency 0: ZeroDivisionError
+        with pytest.raises(OutOfRange):
+            adiabatic_cone_demo(1.0, ratio=ratio, steps=10)
 
 
 def test_speed_limit_rejects_open_trajectory():

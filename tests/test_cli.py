@@ -488,6 +488,11 @@ def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command,
     ["search", "--m", "3", "--k", "-1"],
     ["apps", "--app", "speed", "--steps", "0"],
     ["apps", "--app", "speed", "--ratio", "0"],
+    ["apps", "--app", "speed", "--ratio", "inf"],
+    ["search", "--m", "3", "--coeff-bound", "nan"],
+    ["search", "--m", "3", "--coeff-bound", "inf"],
+    ["search", "--m", "3", "--coeff-bound", "0"],
+    ["search", "--m", "3", "--coeff-bound", "-1"],
     ["apps", "--app", "wannier", "--nk", "0"],
     ["apps", "--app", "eph", "--model", "dirac", "--nk", "2"],
     ["apps", "--app", "sfweight", "--nk", "0"],
@@ -513,6 +518,37 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# the required arguments of each subcommand; models and apps use a 2D model
+# so that --ef reaches the Fermi-surface check
+_FUZZ_BASE = {
+    "verify": ["--m", "2"],
+    "figure1": [],
+    "models": ["--model", "dirac"],
+    "apps": ["--app", "eph", "--model", "dirac"],
+    "search": ["--m", "2"],
+    "loop-io": ["export", "loop.csv"],
+}
+
+
+def _float_flags():
+    _, by_name = cli.build_parser()
+    assert set(by_name) == set(_FUZZ_BASE)
+    return [(name, action.option_strings[0]) for name, sub in by_name.items()
+            for action in sub._actions if action.type is float]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_non_finite_float_flags_end_in_one_error_line(tmp_path, capsys, monkeypatch,
+                                                      command, flag):
+    # a ValueError or QiiError is caught by main; any other exception fails here
+    monkeypatch.chdir(tmp_path)
+    for value in ("nan", "inf", "-inf"):
+        argv = [command, *_FUZZ_BASE[command], f"{flag}={value}", "--out", "o"]
+        assert main(argv) in (1, 2), argv
+        err = capsys.readouterr().err
+        assert err.startswith(("usage error:", "error:")) and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("text", ['{"loops": 0}', '{"m": ', '["m", 3]', None])

@@ -2,17 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (cap_area, cap_perimeter, gram_coincidence_pairs,
-                     gram_split, spherical_polygon_perimeter)
+                     gram_split, row_major_fourier_states,
+                     spherical_polygon_perimeter)
 from qii.config import TOL
-from qii.errors import (BadResolution, DegenerateSpec, EmptyInput, OutOfRange,
-                        WrongDimension, ZeroVector)
-from qii.geometry import (Loop, bloch_solid_angle, loop_berry_phase,
-                          loop_distance, summarize)
+from qii.errors import (BadResolution, DegenerateSpec, EmptyInput,
+                        IllConditionedSegment, OutOfRange, WrongDimension,
+                        ZeroVector)
+from qii.geometry import (Loop, _overlap_pass, _row_norms, bloch_solid_angle,
+                          loop_berry_phase, loop_distance, summarize)
 from qii.loops import (FourierLoopSpec, _coincidence_pairs, _fourier_basis,
                        _split_states, bloch_circle, bloch_states, fourier_loop,
-                       fourier_states, great_circle, load_loop,
+                       fourier_states, great_circle, load_loop, min_resolution,
                        perturb_circle, random_fourier_spec, refine, save_loop,
                        spherical_polygon, split_self_intersections)
 from qii.models import fermi_surface_loop, rhombohedral
@@ -376,6 +380,70 @@ def test_fourier_states_match_concatenated_rows():
         rows = np.concatenate([np.ones((spec.n, 1), dtype=complex), z], axis=1)
         want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         np.testing.assert_array_equal(fourier_states(spec), want)
+
+
+def test_fourier_states_are_column_major_and_match_the_row_major_oracle():
+    # below 8 amplitudes a row norm sums left to right in either layout; from
+    # 8 on numpy sums a contiguous row pairwise, so those states stay row-major
+    rng = np.random.default_rng(2025)
+    for m in range(2, 9):
+        for k in range(6):
+            for n in (64, 97, 256, 1000, 2048):
+                spec = random_fourier_spec(m, k, n, rng)
+                states = fourier_states(spec)
+                assert states.flags.f_contiguous if m < 8 else states.flags.c_contiguous
+                assert states.tobytes() == row_major_fourier_states(spec).tobytes()
+
+
+def test_loop_keeps_the_layout_of_narrow_states():
+    spec = random_fourier_spec(3, 2, 256, 8)
+    loop = fourier_loop(spec)
+    assert loop.states.flags.f_contiguous and not loop.states.flags.writeable
+    assert Loop(np.ascontiguousarray(loop.states)).states.flags.c_contiguous
+    wide = np.asfortranarray(fourier_states(random_fourier_spec(8, 2, 256, 8)))
+    assert Loop(wide).states.flags.c_contiguous
+
+
+@st.composite
+def _layout_cases(draw):
+    """Fourier loops of 2 to 7 amplitudes, some traversed 2 or 3 times so
+    that they split, as (column-major states, row-major copy)."""
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(min_resolution(k), 300))
+    turns = draw(st.sampled_from([1, 1, 2, 3]))
+    scale = draw(st.sampled_from([0.05, 0.6, 2.0]))
+    spec = random_fourier_spec(m, k, n, draw(st.integers(0, 2**32 - 1)), scale=scale)
+    states = np.asfortranarray(np.concatenate([fourier_states(spec)] * turns))
+    return states, np.ascontiguousarray(states)
+
+
+@given(_layout_cases())
+@settings(max_examples=200, deadline=None)
+def test_layouts_agree_bit_for_bit(case):
+    # tobytes and repr tell -0.0 from 0.0, which == does not
+    f_states, c_states = case
+    assert f_states.flags.f_contiguous and c_states.flags.c_contiguous
+    assert _row_norms(f_states).tobytes() == _row_norms(c_states).tobytes()
+    for got, want in zip(_overlap_pass(f_states), _overlap_pass(c_states)):
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(_coincidence_pairs(f_states, TOL.split),
+                                  _coincidence_pairs(c_states, TOL.split))
+    try:
+        c_loop = Loop(c_states)
+    except IllConditionedSegment:
+        with pytest.raises(IllConditionedSegment):
+            Loop(f_states)
+        return
+    f_loop = Loop(f_states)
+    assert f_loop.states.flags.f_contiguous
+    assert repr(summarize(f_loop)) == repr(summarize(c_loop))
+    f_parts = split_self_intersections(f_loop)
+    c_parts = split_self_intersections(c_loop)
+    assert len(f_parts) == len(c_parts)
+    for f_part, c_part in zip(f_parts, c_parts):
+        assert f_part.states.tobytes() == c_part.states.tobytes()
+        assert repr(summarize(f_part)) == repr(summarize(c_part))
 
 
 def test_split_thousand_turns_iteratively():

@@ -6,7 +6,7 @@ import pytest
 from oracles import list_nelder_mead
 from qii import search
 from qii.config import TOL
-from qii.errors import DegenerateSpec, OutOfRange
+from qii.errors import BadResolution, DegenerateSpec, OutOfRange
 from qii.geometry import summarize
 from qii.inequalities import strong_qii
 from qii.loops import (FourierLoopSpec, _split_states, fourier_loop, fourier_states,
@@ -111,6 +111,62 @@ def test_search_config_validation():
         SearchConfig(m_dim=1)
     with pytest.raises(OutOfRange):
         SearchConfig(m_dim=2, budget=10)
+    # every evaluation's spec is valid once the config is
+    with pytest.raises(OutOfRange):
+        SearchConfig(m_dim=3, k=-1)
+    with pytest.raises(BadResolution):
+        SearchConfig(m_dim=3, k=1, n=15)
+    for bound in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(OutOfRange):
+            SearchConfig(m_dim=3, coeff_bound=bound)
+
+
+def test_search_samples_each_in_box_evaluation_once(monkeypatch):
+    # the bench derives its penalty fraction from search.fourier_states calls
+    cfg = SearchConfig(m_dim=3, k=1, n=64, budget=400, restarts=2, seed=4,
+                       coeff_bound=0.4)
+    sampled, in_box = [], []
+    real_states, real_simplex = search.fourier_states, search._nelder_mead
+
+    def states(spec):
+        sampled.append(spec.n)
+        return real_states(spec)
+
+    def simplex(fn, *args):
+        def recording(x):
+            in_box.append(np.abs(x).max() <= cfg.coeff_bound)
+            return fn(x)
+        return real_simplex(recording, *args)
+
+    monkeypatch.setattr(search, "fourier_states", states)
+    monkeypatch.setattr(search, "_nelder_mead", simplex)
+    res = minimize_margin(cfg)
+    assert len(in_box) == res.evals and 0 < sum(in_box) < res.evals
+    assert sampled[:sum(in_box)] == [cfg.n] * sum(in_box)
+    assert len(sampled) == sum(in_box) + (res.margin_at_n < 0.0)   # the 4n recheck
+
+
+def test_search_evaluation_matches_a_fresh_spec(monkeypatch):
+    # the refilled coefficient buffer holds x[:half] + 1j x[half:] bit for bit
+    cfg = SearchConfig(m_dim=4, k=2, n=64, budget=200, restarts=1, seed=9)
+    seen = []
+    real_states = search.fourier_states
+
+    def states(spec):
+        seen.append(spec.coeffs.copy())
+        return real_states(spec)
+
+    def simplex(fn, x0, step, max_evals):
+        for x in np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, cfg.dims)):
+            seen.clear()
+            fn(x)
+            want = search._spec_from_vector(x, cfg, cfg.n).coeffs
+            assert seen[0].tobytes() == want.tobytes()
+        return x0, 0.0, 20
+
+    monkeypatch.setattr(search, "fourier_states", states)
+    monkeypatch.setattr(search, "_nelder_mead", simplex)
+    minimize_margin(cfg)
 
 
 def test_objective_forms_cyclic_overlaps_once(monkeypatch):
