@@ -236,8 +236,8 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     """
     k_f, directions = _fermi_circle(spec, e_f, n)
     n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
-    # radius l_fs / 2 pi (k_F up to one rounding), as for a metric built from the perimeter
-    vec, norm = _gated_bloch(spec, k_f * directions, l_fs / (2.0 * np.pi) * directions)
+    ks = k_f * directions   # the loop's momenta are the metric's centres
+    vec, norm = _gated_bloch(spec, ks, ks)
     loop = Loop(_spinors(vec[:n_eff], norm[:n_eff], "upper"))
     g = _metric(vec, norm, 2)
     that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)

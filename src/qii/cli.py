@@ -6,8 +6,8 @@ propagated computation error -- so CI can gate on inequality violations.
 Every run with an output directory writes a manifest.json echoing the
 fully resolved configuration, the seed, and the package version, which
 is sufficient to reproduce the run bit-identically.  The environment
-variable QII_THREADS caps the verify worker count; a JSON --config file
-provides defaults that explicit flags override.
+variable QII_THREADS caps the verify worker count; the entries of a JSON
+--config file are parsed as the same flags, which typed flags override.
 """
 
 import argparse
@@ -25,11 +25,11 @@ from .applications import (adiabatic_cone_demo, eph_bound_chain,
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
-from .loops import (_unit_axis, bloch_circle, fourier_loop, great_circle, load_loop,
-                    min_resolution, random_fourier_spec, save_loop,
+from .loops import (_unit_axis, bloch_circle, check_fourier_shape, fourier_loop,
+                    great_circle, load_loop, random_fourier_spec, save_loop,
                     spherical_polygon, split_self_intersections)
-from .models import (bloch_table_from_csv, bz_loop, fermi_surface_loop,
-                     model_from_json)
+from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy,
+                     fermi_surface_loop, model_from_json)
 from .search import SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
 
@@ -229,6 +229,14 @@ def _add_model_flags(parser):
                         help="CSV Bloch-vector table (k, nx, ny, nz)")
 
 
+def _subloop_reports(loop, summaries):
+    """(weak, strong) reports of the sub-loop summaries of `loop`, and whether any is
+    violated.  The strong QII is a theorem only for a two-band loop that did not split."""
+    conjecture = loop.dim > 2 or len(summaries) > 1
+    reports = [(weak_qii(s), strong_qii(s, conjecture=conjecture)) for s in summaries]
+    return reports, any(w.violated or s.violated for w, s in reports)
+
+
 def _cmd_models(args) -> int:
     spec = _model_from_args(args)
     out = _prepare_outdir(args, "models")
@@ -236,16 +244,11 @@ def _cmd_models(args) -> int:
         loop = bz_loop(spec, args.band, args.nk)
     else:
         loop, _ = fermi_surface_loop(spec, args.ef, args.nk)
-    parts = split_self_intersections(loop)
-    summaries = [summarize(p) for p in parts]
-    rows = []
-    violated = False
-    for i, s in enumerate(summaries):
-        wrep = weak_qii(s)
-        srep = strong_qii(s, conjecture=len(parts) > 1)
-        violated |= wrep.violated or srep.violated
-        rows.append([spec.describe(), args.band, i, s.n_segments, s.d_fs,
-                     s.gamma_b, wrep.margin, srep.margin, int(srep.saturated)])
+    summaries = [summarize(p) for p in split_self_intersections(loop)]
+    reports, violated = _subloop_reports(loop, summaries)
+    rows = [[spec.describe(), args.band, i, s.n_segments, s.d_fs, s.gamma_b,
+             wrep.margin, srep.margin, int(srep.saturated)]
+            for i, (s, (wrep, srep)) in enumerate(zip(summaries, reports))]
     agg = aggregate_summary(summaries)
     rows.append([spec.describe(), args.band, "aggregate", agg.n_segments, agg.d_fs,
                  agg.gamma_total, agg.d_fs - agg.gamma_total, "", ""])
@@ -258,7 +261,7 @@ def _cmd_models(args) -> int:
                                      [abs(s.gamma_b) for s in summaries],
                                      title=spec.describe())
     print(f"models: {spec.describe()} d_fs={agg.d_fs:.6f} gamma_b={agg.gamma_total:.6f} "
-          f"({len(parts)} subloop(s))")
+          f"({len(summaries)} subloop(s))")
     return 2 if violated else 0
 
 
@@ -311,22 +314,19 @@ def _search_record(cfg, result) -> dict:
     }
 
 
+def _search_config(args, seed) -> SearchConfig:
+    return SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
+                        restarts=args.restarts, seed=seed, coeff_bound=args.coeff_bound)
+
+
 def _cmd_search(args) -> int:
     out = _prepare_outdir(args, "search")
     # a seed list runs one search per seed (the resume path: add seeds to
     # extend an earlier campaign); merging keeps the worst margin
     seeds = args.seeds if args.seeds else [args.seed]
-    runs = []
-    worst = None
-    for seed in seeds:
-        cfg = SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
-                           restarts=args.restarts, seed=seed,
-                           coeff_bound=args.coeff_bound)
-        result = minimize_margin(cfg)
-        runs.append((cfg, result))
-        if worst is None or result.best_margin < worst[1].best_margin:
-            worst = (cfg, result)
-    cfg, result = worst
+    cfgs = [_search_config(args, seed) for seed in seeds]
+    runs = [(cfg, minimize_margin(cfg)) for cfg in cfgs]
+    cfg, result = min(runs, key=lambda run: run[1].best_margin)   # the first of equals
     record = _search_record(cfg, result)
     record["seeds"] = seeds
     record["runs"] = [_search_record(c, r) for c, r in runs]
@@ -362,12 +362,10 @@ def _cmd_loop_io(args) -> int:
             loop = spherical_polygon(args.vertices, args.theta, args.n_per_edge)
             params = {"vertices": args.vertices, "theta": args.theta,
                       "n_per_edge": args.n_per_edge}
-        elif gen == "fourier-random":
+        else:   # fourier-random
             spec = random_fourier_spec(args.m, args.k, args.n, args.seed)
             loop = fourier_loop(spec)
             params = {"m": args.m, "k": args.k, "n": args.n}
-        else:
-            raise _UsageError(f"unknown generator {gen!r}")
         save_loop(args.file, loop, generator=gen, parameters=params,
                   seed=getattr(args, "seed", None))
         print(f"loop-io: wrote {args.file} ({loop.n} states, dim {loop.dim})")
@@ -375,15 +373,12 @@ def _cmd_loop_io(args) -> int:
 
     loop, meta = load_loop(args.file)
     parts = split_self_intersections(loop) if args.split else [loop]
-    doc = {"meta": meta, "n": loop.n, "dim": loop.dim, "subloops": []}
-    violated = False
-    for s in map(summarize, parts):
-        wrep, srep = weak_qii(s), strong_qii(s, conjecture=loop.dim > 2)
-        violated |= wrep.violated or srep.violated
-        doc["subloops"].append({
-            "n": s.n_segments, "d_fs": s.d_fs, "gamma_b": s.gamma_b,
-            "weak_margin": wrep.margin, "strong_margin": srep.margin,
-        })
+    summaries = [summarize(p) for p in parts]
+    reports, violated = _subloop_reports(loop, summaries)
+    doc = {"meta": meta, "n": loop.n, "dim": loop.dim, "subloops": [{
+        "n": s.n_segments, "d_fs": s.d_fs, "gamma_b": s.gamma_b,
+        "weak_margin": wrep.margin, "strong_margin": srep.margin,
+    } for s, (wrep, srep) in zip(summaries, reports)]}
     print(json.dumps(doc, sort_keys=True, indent=2))
     if violated:
         print(f"loop-io: VIOLATION in {args.file}", file=sys.stderr)
@@ -493,37 +488,49 @@ def build_parser():
     return parser, by_name
 
 
-def _config_value(action, value):
-    """A --config value converted and checked as the same flag's text would be:
-    by the flag's type, then against its choices."""
-    if action.nargs == 0:   # a switch such as --strong
-        if not isinstance(value, bool):
-            raise _UsageError(f"config {action.dest!r} must be true or false, got {value!r}")
-        return value
-    if value is None and action.default is None:
-        return None
-    text = (",".join(map(str, value)) if action.type is _int_list and isinstance(value, list)
-            else str(value))
+def _config_flags(sub, path) -> list:
+    """The entries of the --config file at `path` as `--flag=value` tokens of
+    the subcommand parser `sub`: a list joined with commas, a switch from a
+    JSON boolean, null only where the flag's default is None."""
     try:
-        value = action.type(text) if action.type else text
-    except ValueError:
-        raise _UsageError(f"bad config {action.dest!r}: {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise _UsageError(f"config {action.dest!r} must be one of "
-                          f"{list(action.choices)}, got {value!r}")
-    return value
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read --config {path}: {exc}") from None
+    if not isinstance(entries, dict):
+        raise _UsageError("--config must hold a JSON object")
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    unknown = set(entries) - set(flags)
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for dest, value in entries.items():
+        action = flags[dest]
+        flag = action.option_strings[0]
+        if action.nargs == 0:   # a switch such as --strong
+            if not isinstance(value, bool):
+                raise _UsageError(f"config {dest!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif value is None:
+            if action.default is not None:
+                raise _UsageError(f"config {dest!r} may not be null")
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
 
 
 def _check_args(args):
-    """Usage checks on parsed values, so flags and --config defaults both pass them."""
-    # every float flag; a Fermi surface reports its own bad --ef (exit 2)
+    """Usage checks on the parsed flags, --config entries included."""
+    # every float flag; a bad --ef is a Fermi-energy error (exit 2) below
     for dest, value in vars(args).items():
         if isinstance(value, float) and dest != "ef" and not np.isfinite(value):
             raise _UsageError(f"--{dest.replace('_', '-')} must be finite, got {value}")
     if args.command == "figure1" and min(args.n_list, default=0) < 3:
         raise _UsageError(f"polygons need --n-list entries >= 3, got {args.n_list}")
-    if args.command in ("models", "apps") and args.nk < 3:
-        raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
+    if args.command in ("models", "apps"):
+        if args.nk < 3:
+            raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
+        check_fermi_energy(args.ef)
     if args.command == "apps":
         if args.steps < 1:
             raise _UsageError(f"need --steps >= 1, got {args.steps}")
@@ -531,57 +538,40 @@ def _check_args(args):
             raise _UsageError(f"need --ratio > 0, got {args.ratio}")
         if args.app == "sfweight" and not args.u > 0:
             raise _UsageError(f"need an attraction --u > 0, got {args.u}")
-    if args.command == "loop-io" and args.action == "export" and args.generator == "great-circle":
+    if args.command == "verify" and args.loops < 1:
+        raise _UsageError(f"need --loops >= 1, got {args.loops}")
+    export = args.command == "loop-io" and args.action == "export"
+    if export and args.generator == "great-circle":
         if args.turns < 1:
             raise _UsageError(f"need --turns >= 1, got {args.turns}")
         _axis_arg(args.axis)
-    if args.command == "search" and not args.coeff_bound > 0:
-        raise _UsageError(f"need --coeff-bound > 0, got {args.coeff_bound}")
-    if args.command not in ("verify", "search"):
-        return
-    if args.m < 2:
-        raise _UsageError("a single-band Hilbert space is a point; need --m >= 2")
-    if args.command == "verify" and args.loops < 1:
-        raise _UsageError(f"need --loops >= 1, got {args.loops}")
-    if args.k < 0:
-        raise _UsageError(f"need --k >= 0, got {args.k}")
-    if args.n < min_resolution(args.k):
-        raise _UsageError(f"--n {args.n} under-resolves harmonics up to --k {args.k}; "
-                          f"need --n >= {min_resolution(args.k)}")
+    try:
+        if args.command == "verify" or export and args.generator == "fourier-random":
+            check_fourier_shape(args.m, args.k, args.n)
+        if args.command == "search":
+            _search_config(args, args.seed)
+    except QiiError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
     try:
-        # parse once to find --config in any spelling, then again over its defaults
+        # parse once to find --config in any spelling, then again with its
+        # entries as flags right after the subcommand, so typed flags win
         args = parser.parse_args(argv)
         if args.config is not None:
-            try:
-                defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise _UsageError(f"cannot read --config {args.config}: {exc}") from None
-            if not isinstance(defaults, dict):
-                raise _UsageError("--config must hold a JSON object")
-            sub = by_name[args.command]
-            actions = {a.dest: a for a in sub._actions}
-            unknown = set(defaults) - set(actions)
-            if unknown:
-                raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-            sub.set_defaults(**{key: _config_value(actions[key], value)
-                                for key, value in defaults.items()})
-            args = parser.parse_args(argv)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(by_name[args.command], args.config) + argv[at:])
         _check_args(args)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (QiiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

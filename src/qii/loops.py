@@ -18,7 +18,7 @@ from .errors import (BadResolution, DegenerateSpec, EmptyInput,
 from .geometry import _COLUMN_MAJOR_BELOW, Loop, _row_norms
 
 __all__ = [
-    "FourierLoopSpec", "min_resolution", "bloch_circle", "bloch_states",
+    "FourierLoopSpec", "min_resolution", "check_fourier_shape", "bloch_circle", "bloch_states",
     "great_circle", "spherical_polygon", "fourier_loop", "random_fourier_spec",
     "perturb_circle", "refine", "split_self_intersections",
     "save_loop", "load_loop",
@@ -111,6 +111,17 @@ def min_resolution(k: int) -> int:
     return 8 * (k + 1)
 
 
+def check_fourier_shape(m_dim: int, k: int, n: int):
+    """The shape rule of every Fourier loop: M >= 2, k >= 0 and n >= min_resolution(k)."""
+    if m_dim < 2:
+        raise OutOfRange("need at least a two-level system")
+    if k < 0:
+        raise OutOfRange("harmonic cutoff must be >= 0")
+    if n < min_resolution(k):
+        raise BadResolution(f"n = {n} under-resolves harmonics up to {k}; "
+                            f"need n >= {min_resolution(k)}")
+
+
 @dataclass(frozen=True)
 class FourierLoopSpec:
     """Loop z_i(t) = sum_m c_{i,m} e^{i m t} in the (1, z) chart of CP^{M-1}.
@@ -125,16 +136,11 @@ class FourierLoopSpec:
     n: int
 
     def __post_init__(self):
+        check_fourier_shape(self.m_dim, self.k, self.n)
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.m_dim < 2:
-            raise OutOfRange("need at least a two-level system")
-        if self.k < 0:
-            raise OutOfRange("harmonic cutoff must be >= 0")
         if coeffs.shape != (self.m_dim - 1, 2 * self.k + 1):
             raise OutOfRange(
                 f"coeffs shape {coeffs.shape} != {(self.m_dim - 1, 2 * self.k + 1)}")
-        if self.n < min_resolution(self.k):
-            raise BadResolution(f"n = {self.n} under-resolves harmonics up to {self.k}")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
@@ -180,6 +186,7 @@ def fourier_loop(spec: FourierLoopSpec) -> Loop:
 
 def random_fourier_spec(m_dim: int, k: int, n: int, rng, scale: float = 0.6) -> FourierLoopSpec:
     """Random spec with harmonic amplitudes decaying like 1/(1+|m|)."""
+    check_fourier_shape(m_dim, k, n)   # before any draw
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     modes = np.arange(-k, k + 1)

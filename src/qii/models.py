@@ -25,7 +25,7 @@ __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
     "band_state", "band_states", "band_chart", "metric_grid",
-    "bz_grid", "bz_loop", "fermi_surface_loop", "dirac_metric",
+    "bz_grid", "bz_loop", "check_fermi_energy", "fermi_surface_loop", "dirac_metric",
 ]
 
 _BAND_INDEX = {"lower": 0, "upper": 1}
@@ -79,11 +79,11 @@ def rhombohedral(n_layers: int, scale: float = 1.0, a: float = 1.0) -> ModelSpec
                                       "scale": float(scale)}, a)
 
 
-def dirac(v_f: float = 1.0) -> ModelSpec:
+def dirac(v_f: float = 1.0, a: float = 1.0) -> ModelSpec:
     """Gapless 2D Dirac cone with Fermi velocity v_f > 0."""
     if not float(v_f) > 0:
         raise OutOfRange("Fermi velocity must be positive")
-    return ModelSpec("dirac", {"v_f": float(v_f)})
+    return ModelSpec("dirac", {"v_f": float(v_f)}, a)
 
 
 def fourier_bloch(const, cos_coeffs, sin_coeffs, a: float = 1.0) -> ModelSpec:
@@ -192,7 +192,7 @@ _KINDS = {
         # n rounded up to a multiple of N: the N-fold winding closes on the grid
         fermi=lambda p, e_f, n: ((e_f / p["scale"]) ** (1.0 / p["n_layers"]),
                                  p["n_layers"] * int(np.ceil(n / p["n_layers"])))),
-    "dirac": _Kind(2, lambda p, a: dirac(p.get("v_f", 1.0)), _dirac_bloch,
+    "dirac": _Kind(2, lambda p, a: dirac(p.get("v_f", 1.0), a), _dirac_bloch,
                    lambda p: abs(p["v_f"]),
                    fermi=lambda p, e_f, n: (e_f / p["v_f"], n)),
 }
@@ -338,10 +338,15 @@ def bz_loop(spec: ModelSpec, band: str = "lower", n: int = 512) -> Loop:
     return Loop(band_states(spec, bz_grid(spec, n), band))
 
 
-def _fermi_circle(spec: ModelSpec, e_f: float, n: int):
-    """k_F and the (n', 2) unit directions of fermi_surface_loop's samples."""
+def check_fermi_energy(e_f: float):
+    """A Fermi surface needs 0 < E_F < inf."""
     if not 0.0 < e_f < np.inf:
         raise OutOfRange(f"Fermi energy E_F must be finite and positive, got {e_f}")
+
+
+def _fermi_circle(spec: ModelSpec, e_f: float, n: int):
+    """k_F and the (n', 2) unit directions of fermi_surface_loop's samples."""
+    check_fermi_energy(e_f)
     if _KINDS[spec.kind].fermi is None:
         raise WrongDimension("Fermi-surface loops need a 2D model")
     k_f, n = _KINDS[spec.kind].fermi(spec.params, e_f, n)

@@ -16,11 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import TOL
-from .errors import BadResolution, DegenerateSpec, OutOfRange
+from .errors import DegenerateSpec, OutOfRange
 from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
 from .inequalities import _strong_margin
 from .loops import (FourierLoopSpec, _split_states, bloch_circle,
-                    fourier_states, min_resolution, perturb_circle)
+                    check_fourier_shape, fourier_states, perturb_circle)
 
 __all__ = [
     "SearchConfig", "SearchResult", "qii_objective", "minimize_margin",
@@ -44,12 +44,7 @@ class SearchConfig:
     coeff_bound: float = 1.5
 
     def __post_init__(self):
-        if self.m_dim < 2:
-            raise OutOfRange("need at least a two-level system")
-        if self.k < 0:
-            raise OutOfRange("harmonic cutoff must be >= 0")
-        if self.n < min_resolution(self.k):
-            raise BadResolution(f"n = {self.n} under-resolves harmonics up to {self.k}")
+        check_fourier_shape(self.m_dim, self.k, self.n)
         if self.budget < 100:
             raise OutOfRange("budget must be at least 100 evaluations")
         if not 0.0 < self.coeff_bound < np.inf:

@@ -207,12 +207,12 @@ def composed_superfluid_values(spec, u, nu, n_k):
 
 def composed_eph_values(spec, e_f, n):
     """The eph chain from fermi_surface_loop, metric_grid on the circle of
-    radius l_fs / 2 pi, split_self_intersections and summarize."""
+    radius k_F (the loop's own momenta), split_self_intersections and summarize."""
     from qii.geometry import aggregate_summary, summarize
     from qii.loops import split_self_intersections
-    from qii.models import fermi_surface_loop, metric_grid
+    from qii.models import _fermi_circle, fermi_surface_loop, metric_grid
     loop, l_fs = fermi_surface_loop(spec, e_f, n)
-    k_f = l_fs / (2.0 * np.pi)
+    k_f, _ = _fermi_circle(spec, e_f, n)
     alphas = 2.0 * np.pi * np.arange(loop.n) / loop.n
     g = metric_grid(spec, "upper", k_f * np.stack([np.cos(alphas), np.sin(alphas)], axis=1))
     that = np.stack([-np.sin(alphas), np.cos(alphas)], axis=1)

@@ -35,3 +35,13 @@ def test_no_lint_suppressions():
               for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
               if "noqa" in line]
     assert marked == []
+
+
+def test_only_loops_calls_min_resolution():
+    # the Fourier shape rule (M >= 2, k >= 0, n >= min_resolution(k)) has one
+    # owner, loops.check_fourier_shape; every other module calls that instead
+    calls = {path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                         if isinstance(node, ast.Call) and "min_resolution" in
+                         (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+             for path in MODULES if path.name != "loops.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

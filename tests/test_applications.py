@@ -332,9 +332,9 @@ def test_1d_chains_equal_their_composition_exactly(spec, n_k):
 
 
 def test_eph_chains_equal_their_composition_exactly():
-    # fermi_surface_loop, metric_grid, split_self_intersections and summarize
-    # give the fused chain's values bit for bit; the energies cover radii
-    # whose l_fs / 2 pi is one rounding off k_F
+    # fermi_surface_loop, metric_grid at k_F, split_self_intersections and
+    # summarize give the fused chain's values bit for bit; the energies cover
+    # radii whose l_fs / 2 pi is one rounding off k_F
     rng = np.random.default_rng(8)
     cases = [(dirac(v_f), e_f, e_f / v_f) for v_f, e_f in rng.uniform(0.5, 2.0, (4, 2))]
     cases += [(rhombohedral(layers, scale), e_f, (e_f / scale) ** (1.0 / layers))

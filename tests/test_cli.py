@@ -470,11 +470,14 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["apps", "--app", "eph"], ["models"]])
+@pytest.mark.parametrize("command", [
+    ["apps", "--app", "eph", "--model", "dirac"], ["models", "--model", "dirac"],
+    # runs that build no Fermi surface check --ef too
+    ["models", "--model", "ssh", "--nk", "16"], ["apps", "--app", "wannier", "--nk", "16"]])
 @pytest.mark.parametrize("e_f", ["nan", "inf", "-inf", "0", "-1"])
 def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command, e_f):
     # warnings are errors under this suite's filterwarnings, so none is raised
-    argv = command + ["--model", "dirac", f"--ef={e_f}", "--out", str(tmp_path / "o")]
+    argv = command + [f"--ef={e_f}", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Fermi energy E_F must be finite and positive")
@@ -511,6 +514,11 @@ def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command,
     ["apps", "--app", "sfweight", "--u", "inf"],
     ["apps", "--app", "sfweight", "--u", "-1"],
     ["apps", "--app", "sfweight", "--u", "0"],
+    ["search", "--m", "3", "--budget", "50"],
+    ["search", "--m", "3", "--restarts", "0"],
+    ["search", "--m", "1"],
+    ["loop-io", "export", "fr.csv", "--generator", "fourier-random", "--k", "-1"],
+    ["loop-io", "export", "fr.csv", "--generator", "fourier-random", "--m", "1"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -568,6 +576,11 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     (["apps", "--app", "wannier"], {"band": "middle"}),
     (["verify", "--m", "2"], {"n": 256.5}),
     (["verify", "--m", "2"], {"loops": 2.5}),
+    # keys are the subcommand's options: not its positionals, not --help
+    (["verify", "--m", "2"], {"help": True}),
+    (["loop-io", "export", "x.csv"], {"file": "x"}),
+    (["verify", "--m", "2"], {"out": None}),   # null only where the default is None
+    (["verify", "--m", "2"], {"strong": 1}),
 ])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, command, config):
     # config values pass the choices and types their flags do
@@ -591,6 +604,54 @@ def test_config_lists_and_switches_keep_working(tmp_path):
     cfg.write_text('{"seeds": [1, 2], "budget": 100, "n": 64}')
     assert main(["search", "--m", "2", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
     assert json.loads((tmp_path / "s" / "run.json").read_text())["seeds"] == [1, 2]
+
+
+# the arguments a subcommand cannot run without; --config cannot supply them
+_REQUIRED = {"verify": ["--m", "2"], "search": ["--m", "2"], "apps": ["--app", "eph"],
+             "loop-io": ["export", "loop.csv"]}
+
+
+def _config_cases():
+    """(command, dest, config value, the same value as flag tokens) for every
+    option a --config entry can set; values that start with '-' show that
+    the entry is not read as an option."""
+    _, by_name = cli.build_parser()
+    cases = []
+    for name, sub in by_name.items():
+        for action in sub._actions:
+            if not action.option_strings or action.required or action.dest in ("help", "config"):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                value, tokens = True, [flag]
+            elif action.type is cli._int_list:
+                value, tokens = [3, 5], [f"{flag}=3,5"]
+            elif action.choices:
+                value = action.choices[-1]
+                tokens = [f"{flag}={value}"]
+            else:
+                value, text = {float: (-np.inf, "-inf"), int: (-7, "-7")}.get(
+                    action.type, ("-x", "-x"))
+                tokens = [f"{flag}={text}"]
+            cases.append(pytest.param(name, action.dest, value, tokens, id=f"{name}-{action.dest}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, dest, value, tokens", _config_cases())
+def test_config_entry_parses_as_its_flag(tmp_path, monkeypatch, command, dest, value, tokens):
+    # the namespace is captured before any check, so out-of-range values compare too
+    seen = []
+    monkeypatch.setattr(cli, "_check_args", lambda args: None)
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(vars(args)) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: value}))
+    argv = [command, *_REQUIRED.get(command, [])]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert main(argv + tokens) == 0
+    from_config, from_flags = seen
+    assert from_config == {**from_flags, "config": str(cfg)}
+    assert from_flags[dest] != cli.build_parser()[1][command].get_default(dest)
 
 
 @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])

@@ -157,6 +157,14 @@ def test_fourier_spec_validation():
         FourierLoopSpec(m_dim=2, coeffs=np.zeros((1, 5)), k=1, n=64)
 
 
+@pytest.mark.parametrize("m_dim, k", [(3, -1), (0, 2)])
+def test_random_fourier_spec_checks_the_shape_before_drawing(m_dim, k):
+    rng = np.random.default_rng(0)
+    with pytest.raises(OutOfRange):
+        random_fourier_spec(m_dim, k, 64, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 # --- perturb_circle ---
 
 def test_perturb_zero_eps_is_circle():

@@ -207,6 +207,7 @@ def test_model_from_json_roundtrip():
     spec = model_from_json({"kind": "rhombohedral",
                             "parameters": {"n_layers": 2}, "lattice_const": 0.5})
     assert spec.params["n_layers"] == 2 and spec.a == 0.5
+    assert model_from_json({"kind": "dirac", "lattice_const": 2.0}).a == 2.0
 
 
 @pytest.mark.parametrize("doc, needle", [
@@ -220,6 +221,8 @@ def test_model_from_json_roundtrip():
     ('{"kind": "dirac", "lattice_const": {}}', "'dirac'"),
     ('{"kind": "rhombohedral", "parameters": {"n_layers": Infinity}}', "'rhombohedral'"),
     ('{"kind": "table", "parameters": {"k": [0, 1], "vectors": {}}}', "'table'"),
+    ('{"kind": "dirac", "lattice_const": -1.0}', "lattice constant"),
+    ('{"kind": "dirac", "lattice_const": NaN}', "lattice constant"),
 ])
 def test_model_from_json_malformed(doc, needle):
     with pytest.raises(OutOfRange, match=needle):
