@@ -191,6 +191,12 @@ def speed_limit_report(traj: Trajectory, gamma_b: float,
     return SpeedLimitReport(residual=speed_limit_residual(traj), chain=chain)
 
 
+def check_cone_angle(theta_c: float):
+    """The precession cone of `adiabatic_cone_demo` needs 0 < theta_c < pi/2."""
+    if not 0.0 < theta_c < np.pi / 2:
+        raise OutOfRange(f"cone angle must lie in (0, pi/2), got {theta_c}")
+
+
 def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0,
                         steps: int = 20000):
     """Precessing-field cycle whose trajectory is exactly cyclic.
@@ -201,8 +207,7 @@ def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0
     Berry phase is positive) and returns to its initial ray after one
     drive period.  Returns (trajectory, gamma_b, SpeedLimitReport).
     """
-    if not 0.0 < theta_c < np.pi / 2:
-        raise OutOfRange("cone angle must lie in (0, pi/2)")
+    check_cone_angle(theta_c)
     if not 0.0 < ratio < np.inf:
         raise OutOfRange(f"period ratio must be positive and finite, got {ratio}")
     omega_d = omega0 / ratio

@@ -15,19 +15,20 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .applications import (adiabatic_cone_demo, eph_bound_chain,
+from .applications import (adiabatic_cone_demo, check_cone_angle, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
-from .loops import (_unit_axis, bloch_circle, check_fourier_shape, fourier_loop,
-                    great_circle, load_loop, random_fourier_spec, save_loop,
-                    spherical_polygon, split_self_intersections)
+from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_seed,
+                    fourier_loop, great_circle, load_loop, random_fourier_spec,
+                    save_loop, spherical_polygon, split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy,
                      fermi_surface_loop, model_from_json)
 from .search import SearchConfig, minimize_margin
@@ -58,7 +59,7 @@ def _prepare_outdir(args, command) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = {key: str(val) if isinstance(val, Path) else val
-              for key, val in sorted(vars(args).items()) if key not in {"func", "command"}}
+              for key, val in sorted(vars(args).items()) if key != "command"}
     manifest = {"command": command, "config": config, "version": __version__}
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -314,19 +315,22 @@ def _search_record(cfg, result) -> dict:
     }
 
 
-def _search_config(args, seed) -> SearchConfig:
-    return SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
-                        restarts=args.restarts, seed=seed, coeff_bound=args.coeff_bound)
+def _search_configs(args) -> list:
+    """One checked SearchConfig per search the run makes: one per --seeds
+    entry (the resume path: add seeds to extend an earlier campaign), else
+    one for --seed."""
+    return [SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
+                         restarts=args.restarts, seed=seed, coeff_bound=args.coeff_bound)
+            for seed in (args.seeds or [args.seed])]
 
 
 def _cmd_search(args) -> int:
     out = _prepare_outdir(args, "search")
-    # a seed list runs one search per seed (the resume path: add seeds to
-    # extend an earlier campaign); merging keeps the worst margin
-    seeds = args.seeds if args.seeds else [args.seed]
-    cfgs = [_search_config(args, seed) for seed in seeds]
+    cfgs = _search_configs(args)
+    seeds = [cfg.seed for cfg in cfgs]
     runs = [(cfg, minimize_margin(cfg)) for cfg in cfgs]
-    cfg, result = min(runs, key=lambda run: run[1].best_margin)   # the first of equals
+    # merging keeps the worst margin, the first of equals
+    cfg, result = min(runs, key=lambda run: run[1].best_margin)
     record = _search_record(cfg, result)
     record["seeds"] = seeds
     record["runs"] = [_search_record(c, r) for c, r in runs]
@@ -402,7 +406,10 @@ def _axis_arg(text):
     return axis
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """(parser, subcommand parsers by name), built once per process; every
+    parse_args call returns a fresh namespace."""
     parser = _Parser(prog="qii",
                      description="quantum isoperimetric inequality toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -418,21 +425,18 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong", action="store_true",
                    help="also check the strong QII on split sub-loops")
-    p.set_defaults(func=_cmd_verify)
 
     p = by_name["figure1"] = subs.add_parser(
         "figure1", help="planar and spherical polygon quotient tables")
     p.add_argument("--theta", type=float, default=np.pi / 4)
-    p.add_argument("--n-list", type=_int_list, default=[3, 4, 6, 10000])
+    p.add_argument("--n-list", type=_int_list, default=(3, 4, 6, 10000))
     p.add_argument("--n-per-edge", type=int, default=64)
-    p.set_defaults(func=_cmd_figure1)
 
     p = by_name["models"] = subs.add_parser(
         "models", help="Brillouin-zone / Fermi-surface loop summaries")
     _add_model_flags(p)
     p.add_argument("--nk", type=int, default=2048)
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=_cmd_models)
 
     p = by_name["apps"] = subs.add_parser(
         "apps", help="physical bound chains")
@@ -446,7 +450,6 @@ def build_parser():
     p.add_argument("--ratio", type=float, default=50.0,
                    help="drive period / Larmor period")
     p.add_argument("--steps", type=int, default=20000)
-    p.set_defaults(func=_cmd_apps)
 
     p = by_name["search"] = subs.add_parser(
         "search", help="derivative-free strong-QII conjecture probe")
@@ -459,7 +462,6 @@ def build_parser():
     p.add_argument("--seeds", type=_int_list, default=None,
                    help="run one search per seed and merge (resume path)")
     p.add_argument("--coeff-bound", type=float, default=1.5)
-    p.set_defaults(func=_cmd_search)
 
     p = by_name["loop-io"] = subs.add_parser(
         "loop-io", help="import/export loop CSV files")
@@ -478,7 +480,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", action="store_true")
-    p.set_defaults(func=_cmd_loop_io)
 
     for name, sub in by_name.items():
         sub.add_argument("--out", default="qii-out",
@@ -548,8 +549,11 @@ def _check_args(args):
     try:
         if args.command == "verify" or export and args.generator == "fourier-random":
             check_fourier_shape(args.m, args.k, args.n)
+            check_seed(args.seed)
         if args.command == "search":
-            _search_config(args, args.seed)
+            _search_configs(args)
+        if args.command == "apps":
+            check_cone_angle(args.theta_c)
     except QiiError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -566,7 +570,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(
                 argv[:at] + _config_flags(by_name[args.command], args.config) + argv[at:])
         _check_args(args)
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -122,6 +122,12 @@ def check_fourier_shape(m_dim: int, k: int, n: int):
                             f"need n >= {min_resolution(k)}")
 
 
+def check_seed(seed: int):
+    """A seed of a numpy generator or seed sequence is a non-negative integer."""
+    if seed < 0:
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class FourierLoopSpec:
     """Loop z_i(t) = sum_m c_{i,m} e^{i m t} in the (1, z) chart of CP^{M-1}.
@@ -188,6 +194,7 @@ def random_fourier_spec(m_dim: int, k: int, n: int, rng, scale: float = 0.6) -> 
     """Random spec with harmonic amplitudes decaying like 1/(1+|m|)."""
     check_fourier_shape(m_dim, k, n)   # before any draw
     if isinstance(rng, (int, np.integer)):
+        check_seed(rng)
         rng = np.random.default_rng(rng)
     modes = np.arange(-k, k + 1)
     sigma = scale / (1.0 + np.abs(modes))
@@ -241,24 +248,33 @@ _NO_PAIRS.setflags(write=False)
 
 
 @lru_cache(maxsize=32)
-def _key_form(m: int) -> np.ndarray:
-    """Real 2m x 2m form of a fixed-seed random Hermitian m x m matrix A of
-    unit Frobenius norm, acting on rows of interleaved (re, im) pairs.
-
-    Entry (a, b) of A becomes the block [[Re A_ab, -Im A_ab],
-    [Im A_ab, Re A_ab]], so y^T B y = Re(x^H A x) = x^H A x for the float
-    view y of a complex row x.
-    """
+def _key_vector(m: int) -> np.ndarray:
+    """conj(v) for a fixed-seed random unit vector v in C^m, read-only."""
     rng = np.random.default_rng(_KEY_SEED)
-    h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    a = h + h.conj().T
-    a /= np.linalg.norm(a)
-    form = np.empty((2 * m, 2 * m))
-    form[0::2, 0::2] = form[1::2, 1::2] = a.real
-    form[0::2, 1::2] = -a.imag
-    form[1::2, 0::2] = a.imag
-    form.setflags(write=False)
-    return form
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v_conj = (v / np.linalg.norm(v)).conj()
+    v_conj.setflags(write=False)
+    return v_conj
+
+
+def _coincidence_key(states: np.ndarray):
+    """(key, squared row norms) of the rows x of `states`, with
+    key(x) = |<v|x>|^2 / <x|x> = tr(A P_x) for A = |v><v| (`_key_vector`).
+
+    <v|x> and <x|x> each add the m columns of an elementwise product, so
+    the states are read in their own layout.  A BLAS matvec is faster on
+    one thread, but OpenBLAS threads it from about n = 1500 at m = 3, and
+    on a loaded two-core host some runs then stalled for about 8 ms a call.
+
+    Rounding, with gamma_n ~ n eps / 2: the complex dot of length m errs by
+    at most sqrt(2) gamma_{m+1} |v| |x| and |<v|x>|^2 by gamma_2 more, so
+    the numerator errs by under (sqrt(2) (m + 1) + 1) eps |x|^2; the
+    squared norm errs by gamma_{m+1} relative, and the division by eps / 2.
+    Since the key is at most |v|^2 ~ 1, one key errs by under (2m + 4) eps.
+    """
+    sq = np.add.reduce((states.conj() * states).real, axis=1)
+    w = np.add.reduce(states * _key_vector(states.shape[1]), axis=1)
+    return (w.conj() * w).real / sq, sq
 
 
 def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
@@ -266,8 +282,8 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     projective distance is below tol, in row-major order.
 
     Sweep and prune on a gauge-invariant key: state x gets
-    key(x) = tr(A P_x) with P_x = |x><x| / <x|x> and A a fixed random
-    Hermitian matrix, ||A||_F = 1.  Then
+    key(x) = tr(A P_x) with P_x = |x><x| / <x|x> and A = |v><v| for a fixed
+    random unit vector v, so ||A||_F = |v|^2 = 1.  Then
     |key(a) - key(b)| <= ||P_a - P_b||_F = sqrt(2) sin d(a, b), so every
     pair with |<a|b>| >= cos(tol) lies within a window of width
     sqrt(2) sin(tol), widened for the rounding of the inputs.  Only the
@@ -275,21 +291,15 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     so the pairs do not depend on how the key is rounded, as long as the
     window covers that rounding.
 
-    The key is the real quadratic form y^T B y / y^T y on the float view y
-    of each row (2m reals), B the real form of A (`_key_form`).  Both dot
-    products have length 2m, so the numerator errs by at most
-    gamma_4m |y|^T |B| |y| <= gamma_4m ||B||_F |y|^2 = sqrt(2) gamma_4m |y|^2
-    (gamma_n ~ n eps) and the denominator by gamma_2m relative; since
-    |key| <= ||A||_F = 1, one key errs by under (4 sqrt(2) m + 2m + 2) eps
-    < (8m + 2) eps.  The window compares two keys, and width and
-    ranked + width are rounded once more each (|key| <= 1, width < 3), so
-    it must cover (16m + 10) eps, which the 32 m^2 eps slack does for
-    every m >= 1.
+    The window compares two keys, each within (2m + 4) eps of its exact
+    value (`_coincidence_key`); the stored v has |v|^2 <= 1 + (m + 3) eps,
+    which widens the sqrt(2) sin d bound by under 1.5 (m + 3) eps; and
+    width and ranked + width are rounded once more each (keys lie in
+    [0, |v|^2], width < 2), by under 6 eps together.  So the window must cover
+    (5.5 m + 18.5) eps, which the 32 m^2 eps slack does for every m >= 1.
     """
     n, m = states.shape
-    y = np.ascontiguousarray(states, dtype=complex).view(float)
-    sq = np.einsum("ij,ij->i", y, y)
-    key = np.einsum("ij,ij->i", y @ _key_form(m), y) / sq
+    key, sq = _coincidence_key(states)
     cos_tol = math.cos(tol)
     # a computed |<a|b>| >= cos(tol) bounds the true cos d below by c
     c = min(1.0, (cos_tol - 16 * m * _EPS) / sq.max())

@@ -20,7 +20,7 @@ from .errors import DegenerateSpec, OutOfRange
 from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
 from .inequalities import _strong_margin
 from .loops import (FourierLoopSpec, _split_states, bloch_circle,
-                    check_fourier_shape, fourier_states, perturb_circle)
+                    check_fourier_shape, check_seed, fourier_states, perturb_circle)
 
 __all__ = [
     "SearchConfig", "SearchResult", "qii_objective", "minimize_margin",
@@ -52,6 +52,7 @@ class SearchConfig:
                              f"got {self.coeff_bound}")
         if self.restarts < 1:
             raise OutOfRange("need at least one restart")
+        check_seed(self.seed)
 
     @property
     def dims(self) -> int:

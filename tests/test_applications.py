@@ -170,6 +170,9 @@ def test_evolve_and_cone_demo_reject_bad_parameters():
     for ratio in (np.inf, np.nan):   # inf made the drive frequency 0: ZeroDivisionError
         with pytest.raises(OutOfRange):
             adiabatic_cone_demo(1.0, ratio=ratio, steps=10)
+    for theta_c in (0.0, np.pi / 2, 2.0, -0.5, np.nan):
+        with pytest.raises(OutOfRange, match="cone angle"):
+            adiabatic_cone_demo(theta_c, steps=10)
 
 
 def test_speed_limit_rejects_open_trajectory():

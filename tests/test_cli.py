@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +521,15 @@ def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command,
     ["search", "--m", "1"],
     ["loop-io", "export", "fr.csv", "--generator", "fourier-random", "--k", "-1"],
     ["loop-io", "export", "fr.csv", "--generator", "fourier-random", "--m", "1"],
+    # negative seeds and cone angles outside (0, pi/2), caught before the manifest
+    ["verify", "--m", "2", "--seed", "-1"],
+    ["search", "--m", "2", "--seed", "-1"],
+    ["search", "--m", "2", "--seeds", "1,-2"],
+    ["loop-io", "export", "fr.csv", "--generator", "fourier-random", "--seed", "-3"],
+    ["apps", "--app", "speed", "--theta-c", "2"],
+    ["apps", "--app", "speed", "--theta-c", "0"],
+    ["apps", "--app", "speed", "--theta-c", "-0.5"],
+    ["apps", "--app", "wannier", "--theta-c", "2"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -652,6 +663,45 @@ def test_config_entry_parses_as_its_flag(tmp_path, monkeypatch, command, dest, v
     from_config, from_flags = seen
     assert from_config == {**from_flags, "config": str(cfg)}
     assert from_flags[dest] != cli.build_parser()[1][command].get_default(dest)
+
+
+@pytest.mark.parametrize("command, config", [
+    (["verify"], {"m": 3}),
+    (["search"], {"m": 3}),
+    (["apps"], {"app": "eph"}),
+])
+def test_config_cannot_supply_a_required_flag(tmp_path, capsys, command, config):
+    # the first parse, which finds --config, already needs the required flags
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: the following arguments are required: --")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_builds_one_parser_and_each_call_stands_alone(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text('{"loops": 2, "n": 64, "strong": true}')
+    calls = [["verify", "--m", "2", "--config", "cfg.json", "--out", "a"],
+             ["verify", "--m", "2", "--loops", "2", "--n", "64", "--out", "b"],
+             ["verify", "--m", "3", "--loops", "2", "--n", "64", "--strong", "--out", "c"],
+             ["verify", "--m", "3", "--loops", "2", "--n", "64", "--out", "d"]]
+
+    def outputs(argv):
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(Path(argv[-1]).iterdir())}
+
+    cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    in_turn = [outputs(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == built
+    assert "strong_margin" not in in_turn[1]["margins.csv"].decode()
+    for argv, seen in zip(calls, in_turn):
+        shutil.rmtree(argv[-1])
+        cli.build_parser.cache_clear()   # alone: on a parser no call has used
+        assert outputs(argv) == seen
 
 
 @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])

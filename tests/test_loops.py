@@ -14,11 +14,12 @@ from qii.errors import (BadResolution, DegenerateSpec, EmptyInput,
                         ZeroVector)
 from qii.geometry import (Loop, _overlap_pass, _row_norms, bloch_solid_angle,
                           loop_berry_phase, loop_distance, summarize)
-from qii.loops import (FourierLoopSpec, _coincidence_pairs, _fourier_basis,
-                       _split_states, bloch_circle, bloch_states, fourier_loop,
-                       fourier_states, great_circle, load_loop, min_resolution,
-                       perturb_circle, random_fourier_spec, refine, save_loop,
-                       spherical_polygon, split_self_intersections)
+from qii.loops import (FourierLoopSpec, _coincidence_key, _coincidence_pairs,
+                       _fourier_basis, _key_vector, _split_states, bloch_circle,
+                       bloch_states, fourier_loop, fourier_states, great_circle,
+                       load_loop, min_resolution, perturb_circle,
+                       random_fourier_spec, refine, save_loop, spherical_polygon,
+                       split_self_intersections)
 from qii.models import fermi_surface_loop, rhombohedral
 
 
@@ -163,6 +164,11 @@ def test_random_fourier_spec_checks_the_shape_before_drawing(m_dim, k):
     with pytest.raises(OutOfRange):
         random_fourier_spec(m_dim, k, 64, rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_random_fourier_spec_rejects_a_negative_seed():
+    with pytest.raises(OutOfRange, match="non-negative"):
+        random_fourier_spec(3, 2, 64, -3)
 
 
 # --- perturb_circle ---
@@ -324,6 +330,34 @@ def test_pairs_match_gram_oracle_on_strided_copies(m):
                 np.testing.assert_array_equal(pairs, gram_coincidence_pairs(arr, tol))
                 found += len(pairs)
     assert found > 0
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_coincidence_key_within_its_rounding_bound(m):
+    # _coincidence_key's docstring: each key within (2m + 4) eps of the exact
+    # |<v|x>|^2 / <x|x> and each squared norm within (m + 1) eps / 2
+    # relative, taken here in extended precision with the stored v, whose
+    # |v|^2 is within (m + 3) eps of 1
+    eps = np.finfo(float).eps
+    if np.finfo(np.longdouble).eps >= eps:
+        pytest.skip("the reference needs a long double wider than a double")
+    v_conj = _key_vector(m)
+    assert abs(np.vdot(v_conj, v_conj).real - 1.0) <= (m + 3) * eps
+    rng = np.random.default_rng([m, 11])
+    n = 512
+    x = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    x[::2] = v_conj.conj() + 1e-3 * x[::2]   # keys near their largest value, 1
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= 1.0 + rng.uniform(-TOL.norm, TOL.norm, size=(n, 1))   # norms off by up to TOL.norm
+    assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() > 0.1 * TOL.norm
+    v_long = v_conj.astype(np.clongdouble)
+    for arr in (x, np.asfortranarray(x), x[::-1], np.asfortranarray(x)[::-1]):
+        key, sq = _coincidence_key(arr)
+        exact = arr.astype(np.clongdouble)
+        w = (exact * v_long).sum(axis=1)
+        exact_sq = (exact.real ** 2 + exact.imag ** 2).sum(axis=1)
+        assert np.abs(key - (w.real ** 2 + w.imag ** 2) / exact_sq).max() <= (2 * m + 4) * eps
+        assert (np.abs(sq - exact_sq) <= (m + 1) * eps / 2 * exact_sq).all()
 
 
 @pytest.mark.parametrize("turns", [2, 3, 5, 8, 13, 21, 32])

@@ -119,6 +119,8 @@ def test_search_config_validation():
     for bound in (np.nan, np.inf, -np.inf, 0.0):
         with pytest.raises(OutOfRange):
             SearchConfig(m_dim=3, coeff_bound=bound)
+    with pytest.raises(OutOfRange, match="non-negative"):
+        SearchConfig(m_dim=3, seed=-1)
 
 
 def test_search_samples_each_in_box_evaluation_once(monkeypatch):
