@@ -197,6 +197,14 @@ def check_cone_angle(theta_c: float):
         raise OutOfRange(f"cone angle must lie in (0, pi/2), got {theta_c}")
 
 
+def check_pairing(u: float, nu: float):
+    """The superfluid-weight chain needs a filling 0 < nu < 1 and a finite attraction U > 0."""
+    if not 0.0 < nu < 1.0:
+        raise OutOfRange(f"filling factor must lie in (0, 1), got {nu}")
+    if not 0.0 < u < np.inf:
+        raise OutOfRange(f"attraction U must be finite and positive, got {u}")
+
+
 def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0,
                         steps: int = 20000):
     """Precessing-field cycle whose trajectory is exactly cyclic.
@@ -266,10 +274,7 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     For the fully dimerized SSH chain the physically relevant minimal
     metric gives d = gamma = 0 and the whole chain collapses to zero.
     """
-    if not 0.0 < nu < 1.0:
-        raise OutOfRange("filling factor must lie in (0, 1)")
-    if not 0.0 < u < np.inf:
-        raise OutOfRange(f"attraction U must be finite and positive, got {u}")
+    check_pairing(u, nu)
     if spec.dim_k != 1:
         raise OutOfRange("the superfluid-weight chain is implemented for 1D models")
     m_bands = spec.bands

@@ -21,17 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .applications import (adiabatic_cone_demo, check_cone_angle, eph_bound_chain,
-                           superfluid_weight_1d, wannier_bound_chain)
+from .applications import (adiabatic_cone_demo, check_cone_angle, check_pairing,
+                           eph_bound_chain, superfluid_weight_1d, wannier_bound_chain)
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
-from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_seed,
-                    fourier_loop, great_circle, load_loop, random_fourier_spec,
-                    save_loop, spherical_polygon, split_self_intersections)
+from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_angle,
+                    check_polygon, check_samples, check_seed, fourier_loop, great_circle,
+                    load_loop, random_fourier_spec, save_loop, spherical_polygon,
+                    split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy,
                      fermi_surface_loop, model_from_json)
-from .search import SearchConfig, minimize_margin
+from .search import RECHECK_FACTOR, SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
 
 
@@ -67,10 +68,14 @@ def _prepare_outdir(args, command) -> Path:
 
 
 def _worker_count() -> int:
+    """The verify worker count: QII_THREADS, a positive integer, or 1 when unset."""
+    text = os.environ.get("QII_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("QII_THREADS", "1")))
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        return 1
+        pass
+    raise _UsageError(f"QII_THREADS must be a positive integer, got {text!r}")
 
 
 # ---------------------------------------------------------------- verify
@@ -269,14 +274,15 @@ def _cmd_models(args) -> int:
 # ---------------------------------------------------------------- apps
 
 def _cmd_apps(args) -> int:
+    spec = None if args.app == "speed" else _model_from_args(args)
     out = _prepare_outdir(args, "apps")
     notes = ()
     if args.app == "wannier":
-        chain = wannier_bound_chain(_model_from_args(args), args.band, args.nk)
+        chain = wannier_bound_chain(spec, args.band, args.nk)
     elif args.app == "sfweight":
-        chain = superfluid_weight_1d(_model_from_args(args), args.u, args.nu, args.nk)
+        chain = superfluid_weight_1d(spec, args.u, args.nu, args.nk)
     elif args.app == "eph":
-        chain = eph_bound_chain(_model_from_args(args), args.ef, args.nk)
+        chain = eph_bound_chain(spec, args.ef, args.nk)
     elif args.app == "speed":
         _, gamma, report = adiabatic_cone_demo(args.theta_c, ratio=args.ratio,
                                                steps=args.steps)
@@ -340,10 +346,10 @@ def _cmd_search(args) -> int:
     print(f"search: m={args.m} seeds={seeds} best_margin="
           f"{result.best_margin:.3e} evals={total_evals} status={result.status}")
     if result.violation:
-        loop = fourier_loop(result.best_spec.with_resolution(4 * cfg.n))
+        loop = fourier_loop(result.best_spec.with_resolution(RECHECK_FACTOR * cfg.n))
         save_loop(out / "counterexample_loop.csv", loop, generator="search",
                   parameters=cfg.to_dict(), seed=cfg.seed)
-        print(f"search: VIOLATION candidate persisted at 4n; serialized to "
+        print(f"search: VIOLATION candidate persisted at {RECHECK_FACTOR}n; serialized to "
               f"{out / 'counterexample_loop.csv'}", file=sys.stderr)
         return 2
     return 0
@@ -537,23 +543,34 @@ def _check_args(args):
             raise _UsageError(f"need --steps >= 1, got {args.steps}")
         if not args.ratio > 0:
             raise _UsageError(f"need --ratio > 0, got {args.ratio}")
-        if args.app == "sfweight" and not args.u > 0:
-            raise _UsageError(f"need an attraction --u > 0, got {args.u}")
-    if args.command == "verify" and args.loops < 1:
-        raise _UsageError(f"need --loops >= 1, got {args.loops}")
+    if args.command == "verify":
+        if args.loops < 1:
+            raise _UsageError(f"need --loops >= 1, got {args.loops}")
+        _worker_count()
     export = args.command == "loop-io" and args.action == "export"
-    if export and args.generator == "great-circle":
+    generator = args.generator if export else None
+    if generator == "great-circle":
         if args.turns < 1:
             raise _UsageError(f"need --turns >= 1, got {args.turns}")
         _axis_arg(args.axis)
     try:
-        if args.command == "verify" or export and args.generator == "fourier-random":
+        if args.command == "verify" or generator == "fourier-random":
             check_fourier_shape(args.m, args.k, args.n)
             check_seed(args.seed)
+        if generator in ("bloch-circle", "great-circle"):
+            check_samples(args.n)
+        if args.command == "figure1" or generator in ("bloch-circle", "spherical-polygon"):
+            check_polar_angle(args.theta)
+        if args.command == "figure1":
+            check_polygon(min(args.n_list), args.n_per_edge)
+        if generator == "spherical-polygon":
+            check_polygon(args.vertices, args.n_per_edge)
         if args.command == "search":
             _search_configs(args)
         if args.command == "apps":
             check_cone_angle(args.theta_c)
+            if args.app == "sfweight":
+                check_pairing(args.u, args.nu)
     except QiiError as exc:
         raise _UsageError(str(exc)) from None
 

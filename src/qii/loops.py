@@ -33,12 +33,30 @@ def bloch_states(theta, phi) -> np.ndarray:
                      np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
 
 
-def bloch_circle(theta: float, n: int) -> Loop:
-    """Constant-polar-angle circle on the Bloch sphere, n samples."""
+def check_samples(n: int):
+    """A sampled loop needs n >= 3 samples."""
     if n < 3:
         raise BadResolution(f"need n >= 3 samples, got {n}")
+
+
+def check_polar_angle(theta: float):
+    """A circle or polygon at polar angle theta needs 0 < theta < pi."""
     if not 0.0 < theta < np.pi:
         raise OutOfRange(f"polar angle {theta} outside (0, pi)")
+
+
+def check_polygon(n_vertices: int, n_per_edge: int):
+    """A geodesic polygon needs at least 3 vertices and a sample per edge."""
+    if n_vertices < 3:
+        raise BadResolution(f"need at least 3 vertices, got {n_vertices}")
+    if n_per_edge < 1:
+        raise BadResolution(f"need at least 1 sample per edge, got {n_per_edge}")
+
+
+def bloch_circle(theta: float, n: int) -> Loop:
+    """Constant-polar-angle circle on the Bloch sphere, n samples."""
+    check_samples(n)
+    check_polar_angle(theta)
     phi = 2.0 * np.pi * np.arange(n) / n
     return Loop(bloch_states(theta, phi))
 
@@ -63,8 +81,7 @@ def _unit_axis(axis) -> np.ndarray:
 
 def great_circle(axis, n: int, turns: int = 1) -> Loop:
     """Great circle of the Bloch sphere normal to `axis`, traversed `turns` times."""
-    if n < 3:
-        raise BadResolution(f"need n >= 3 samples, got {n}")
+    check_samples(n)
     if turns < 1:
         raise OutOfRange(f"need turns >= 1, got {turns}")
     axis = _unit_axis(axis)
@@ -90,12 +107,8 @@ def _slerp_vectors(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def spherical_polygon(n_vertices: int, theta: float, n_per_edge: int) -> Loop:
     """Geodesic polygon with vertices at polar angle theta, equal azimuths."""
-    if n_vertices < 3:
-        raise BadResolution(f"need at least 3 vertices, got {n_vertices}")
-    if n_per_edge < 1 or n_vertices * n_per_edge < 3:
-        raise BadResolution("too few samples per edge")
-    if not 0.0 < theta < np.pi:
-        raise OutOfRange(f"polar angle {theta} outside (0, pi)")
+    check_polygon(n_vertices, n_per_edge)
+    check_polar_angle(theta)
     phis = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
     verts = np.stack([np.sin(theta) * np.cos(phis),
                       np.sin(theta) * np.sin(phis),
@@ -164,9 +177,10 @@ def _fourier_basis(n: int, k: int) -> np.ndarray:
     return basis
 
 
-def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
-    """The loop's n normalized samples (1, z(t_j)) / |(1, z(t_j))| at
-    t_j = 2 pi j / n, as an (n, M) array.
+def fourier_states(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The n normalized samples (1, z(t_j)) / |(1, z(t_j))|, t_j = 2 pi j / n, of the
+    loop with (M - 1, 2k + 1) coefficient array `coeffs` (harmonics -k .. k, as in
+    `FourierLoopSpec`), as an (n, M) array; M and k come from the shape.
 
     For M < 8 the array is column-major (Fortran order): a row norm then
     adds M columns of n amplitudes instead of reducing each short row on
@@ -174,10 +188,11 @@ def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
     are the same bit for bit as in the row-major layout, which wider
     states keep (`geometry._COLUMN_MAJOR_BELOW`).
     """
-    order = "F" if spec.m_dim < _COLUMN_MAJOR_BELOW else "C"
-    states = np.empty((spec.n, spec.m_dim), dtype=complex, order=order)
+    m_dim = coeffs.shape[0] + 1
+    states = np.empty((n, m_dim), dtype=complex,
+                      order="F" if m_dim < _COLUMN_MAJOR_BELOW else "C")
     states[:, 0] = 1.0
-    states[:, 1:] = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
+    states[:, 1:] = _fourier_basis(n, coeffs.shape[1] // 2) @ coeffs.T
     states /= _row_norms(states)[:, None]
     return states
 
@@ -185,7 +200,7 @@ def fourier_states(spec: FourierLoopSpec) -> np.ndarray:
 def fourier_loop(spec: FourierLoopSpec) -> Loop:
     """Sample the Fourier-parametrized loop; reject ill-conditioned specs."""
     try:
-        return Loop(fourier_states(spec))
+        return Loop(fourier_states(spec.coeffs, spec.n))
     except IllConditionedSegment as exc:   # n >= 8 rows: a near-orthogonal segment
         raise DegenerateSpec(str(exc)) from None
 
@@ -207,8 +222,7 @@ def perturb_circle(theta: float, eps: float, mode: int, n: int) -> Loop:
     """Bloch circle with modulated polar angle theta + eps*cos(mode*phi)."""
     if eps < 0 or mode < 1:
         raise OutOfRange("need eps >= 0 and mode >= 1")
-    if n < 3:
-        raise BadResolution(f"need n >= 3 samples, got {n}")
+    check_samples(n)
     if not (0.0 < theta - eps and theta + eps < np.pi):
         raise OutOfRange(f"theta +- eps leaves (0, pi): {theta} +- {eps}")
     phi = 2.0 * np.pi * np.arange(n) / n

@@ -86,33 +86,33 @@ def dirac(v_f: float = 1.0, a: float = 1.0) -> ModelSpec:
     return ModelSpec("dirac", {"v_f": float(v_f)}, a)
 
 
-def fourier_bloch(const, cos_coeffs, sin_coeffs, a: float = 1.0) -> ModelSpec:
+def fourier_bloch(const, cos, sin, a: float = 1.0) -> ModelSpec:
     """Smooth 1D model n(k).sigma from a Bloch-vector Fourier series.
 
-    n(k) = const + sum_m cos(m k a) cos_coeffs[m-1] + sin(m k a) sin_coeffs[m-1].
+    n(k) = const + sum_m cos(m k a) cos[m-1] + sin(m k a) sin[m-1].
     """
     p = {"const": np.asarray(const, dtype=float),
-         "cos": np.atleast_2d(np.asarray(cos_coeffs, dtype=float)),
-         "sin": np.atleast_2d(np.asarray(sin_coeffs, dtype=float))}
+         "cos": np.atleast_2d(np.asarray(cos, dtype=float)),
+         "sin": np.atleast_2d(np.asarray(sin, dtype=float))}
     if p["const"].shape != (3,) or {p["cos"].shape[1:], p["sin"].shape[1:]} != {(3,)}:
         raise WrongDimension("need a 3-vector const and (m, 3) cos/sin coefficients")
     return ModelSpec("fourier_bloch", p, a)
 
 
-def bloch_table(k_grid, vectors, a: float = 1.0) -> ModelSpec:
+def bloch_table(k, vectors, a: float = 1.0) -> ModelSpec:
     """1D model from tabulated Bloch vectors, linearly interpolated in k.
 
-    k_grid must be ascending inside [0, 2 pi / a); the table is treated as
-    periodic, so k points beyond either end interpolate across the wrap.
+    The k grid must be ascending inside [0, 2 pi / a); the table is treated
+    as periodic, so k points beyond either end interpolate across the wrap.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
+    k = np.asarray(k, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
-    if k_grid.ndim != 1 or vectors.shape != (k_grid.size, 3):
+    if k.ndim != 1 or vectors.shape != (k.size, 3):
         raise WrongDimension(f"need (n, 3) Bloch vectors, got {vectors.shape}")
-    if k_grid.size == 0 or np.any(np.diff(k_grid) <= 0):
+    if k.size == 0 or np.any(np.diff(k) <= 0):
         raise OutOfRange("k grid must be non-empty and strictly ascending")
-    spec = ModelSpec("table", {"k": k_grid, "vectors": vectors}, a)
-    if not (k_grid[0] >= 0.0 and k_grid[-1] < 2.0 * np.pi / spec.a):
+    spec = ModelSpec("table", {"k": k, "vectors": vectors}, a)
+    if not (k[0] >= 0.0 and k[-1] < 2.0 * np.pi / spec.a):
         raise OutOfRange("k grid must lie inside [0, 2 pi / a)")
     return spec
 
@@ -120,11 +120,13 @@ def bloch_table(k_grid, vectors, a: float = 1.0) -> ModelSpec:
 def bloch_table_from_csv(path, a: float = 1.0) -> ModelSpec:
     """Read a (k, nx, ny, nz) table written with a header row."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if len(rows) < 2:
+        rows = [r for r in csv.reader(fh) if r][1:]
+    if not rows:
         raise EmptyInput(f"{path}: Bloch table has no data rows")
-    data = np.array([[float(x) for x in r] for r in rows[1:]])
-    return bloch_table(data[:, 0], data[:, 1:4], a)
+    if any(len(r) != 4 for r in rows):
+        raise WrongDimension(f"{path}: Bloch table rows must hold 4 values (k, nx, ny, nz)")
+    data = np.array([[float(x) for x in r] for r in rows])
+    return bloch_table(data[:, 0], data[:, 1:], a)
 
 
 # ---------------------------------------------------------------- registry
@@ -170,30 +172,25 @@ def _norm(v):
 @dataclass(frozen=True)
 class _Kind:
     dim_k: int
-    build: Callable      # (JSON parameters, lattice constant) -> ModelSpec
+    build: Callable      # the builder: keyword parameters and a= -> ModelSpec
     bloch: Callable      # (spec, ks) -> Bloch vectors
     scale: Callable      # parameters -> characteristic energy scale
     fermi: Callable | None = None      # (parameters, e_f, n) -> (k_F, samples)
 
 
 _KINDS = {
-    "ssh": _Kind(1, lambda p, a: ssh(p["v"], p["w"], a), _ssh_bloch,
-                 lambda p: abs(p["v"]) + abs(p["w"])),
-    "creutz": _Kind(1, lambda p, a: creutz(p["t"], a), _creutz_bloch,
-                    lambda p: 2.0 * abs(p["t"])),
+    "ssh": _Kind(1, ssh, _ssh_bloch, lambda p: abs(p["v"]) + abs(p["w"])),
+    "creutz": _Kind(1, creutz, _creutz_bloch, lambda p: 2.0 * abs(p["t"])),
     "fourier_bloch": _Kind(
-        1, lambda p, a: fourier_bloch(p["const"], p["cos"], p["sin"], a), _fourier_bloch,
+        1, fourier_bloch, _fourier_bloch,
         lambda p: float(_norm(p["const"]) + np.abs(p["cos"]).sum() + np.abs(p["sin"]).sum())),
-    "table": _Kind(1, lambda p, a: bloch_table(p["k"], p["vectors"], a), _table_bloch,
-                   lambda p: float(_norm(p["vectors"]).max())),
+    "table": _Kind(1, bloch_table, _table_bloch, lambda p: float(_norm(p["vectors"]).max())),
     "rhombohedral": _Kind(
-        2, lambda p, a: rhombohedral(p["n_layers"], p.get("scale", 1.0), a),
-        _rhombohedral_bloch, lambda p: abs(p["scale"]),
+        2, rhombohedral, _rhombohedral_bloch, lambda p: abs(p["scale"]),
         # n rounded up to a multiple of N: the N-fold winding closes on the grid
         fermi=lambda p, e_f, n: ((e_f / p["scale"]) ** (1.0 / p["n_layers"]),
                                  p["n_layers"] * int(np.ceil(n / p["n_layers"])))),
-    "dirac": _Kind(2, lambda p, a: dirac(p.get("v_f", 1.0), a), _dirac_bloch,
-                   lambda p: abs(p["v_f"]),
+    "dirac": _Kind(2, dirac, _dirac_bloch, lambda p: abs(p["v_f"]),
                    fermi=lambda p, e_f, n: (e_f / p["v_f"], n)),
 }
 
@@ -202,7 +199,9 @@ def model_from_json(obj) -> ModelSpec:
     """Build a spec from {kind, parameters, lattice_const} (dict or JSON text).
 
     The parameters are the keyword arguments of the kind's builder, e.g.
-    fourier_bloch {const, cos, sin} and table {k, vectors}.
+    ssh {v, w}, rhombohedral {n_layers, scale}, fourier_bloch {const, cos,
+    sin} and table {k, vectors}; a missing, unknown or non-numeric one
+    raises OutOfRange, as does a non-numeric lattice_const.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -215,10 +214,8 @@ def model_from_json(obj) -> ModelSpec:
     if kind not in _KINDS:
         raise OutOfRange(f"unknown model kind {kind!r} in config")
     try:
-        return _KINDS[kind].build(params, float(obj.get("lattice_const", 1.0)))
-    except KeyError as exc:
-        raise OutOfRange(f"model {kind!r} needs parameter {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:   # a parameter that is not a number
+        return _KINDS[kind].build(**params, a=float(obj.get("lattice_const", 1.0)))
+    except (TypeError, ValueError, OverflowError) as exc:   # a bad key or a non-number
         raise OutOfRange(f"model {kind!r}: {exc}") from None
 
 

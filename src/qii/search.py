@@ -6,12 +6,11 @@ counterexample to the M > 2 conjecture.  Optimization is a multi-restart
 Nelder-Mead simplex (derivative-free because |gamma| and the splitting
 step are non-smooth), deterministic for a given seed.  Chord sums
 under-estimate distances, which biases margins slightly negative at
-coarse resolution, so any candidate below zero is re-evaluated at four
-times the resolution before being reported.
+coarse resolution, so any candidate below zero is re-evaluated at
+RECHECK_FACTOR times the resolution before being reported.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +27,7 @@ __all__ = [
 ]
 
 _PENALTY = 100.0
+RECHECK_FACTOR = 4   # a best margin below zero is re-evaluated at this many times n
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,9 @@ class SearchConfig:
 
     def __post_init__(self):
         check_fourier_shape(self.m_dim, self.k, self.n)
-        if self.budget < 100:
-            raise OutOfRange("budget must be at least 100 evaluations")
+        least = max(100, self.dims + 2)   # a first simplex: dims + 1 vertices and a step
+        if self.budget < least:
+            raise OutOfRange(f"budget must be at least {least} evaluations, got {self.budget}")
         if not 0.0 < self.coeff_bound < np.inf:
             raise OutOfRange(f"coefficient box must be positive and finite, "
                              f"got {self.coeff_bound}")
@@ -77,7 +78,7 @@ class SearchResult:
 
 def qii_objective(spec: FourierLoopSpec) -> float:
     """Strong-QII margin of a Fourier loop, split into simple sub-loops first."""
-    return _margin(fourier_states(spec))
+    return _margin(fourier_states(spec.coeffs, spec.n))
 
 
 def _margin(states: np.ndarray) -> float:
@@ -92,12 +93,6 @@ def _margin(states: np.ndarray) -> float:
     _split_states(states, TOL.split, parts)
     scalars = [_scalars(states, overlaps)] if parts[0] is states else map(_scalars, parts)
     return float(min(_strong_margin(d, g) for d, g in scalars))
-
-
-def _spec_from_vector(x: np.ndarray, cfg: SearchConfig, n: int) -> FourierLoopSpec:
-    half = cfg.dims // 2
-    coeffs = (x[:half] + 1j * x[half:]).reshape(cfg.m_dim - 1, 2 * cfg.k + 1)
-    return FourierLoopSpec(m_dim=cfg.m_dim, coeffs=coeffs, k=cfg.k, n=n)
 
 
 def _nelder_mead(fn, x0: np.ndarray, step: float, max_evals: int):
@@ -149,64 +144,52 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     """Multi-restart simplex descent on the strong-QII margin.
 
     Deterministic for a given config.  A best margin below zero at the
-    working resolution is re-evaluated at 4n; only a persistent value
-    below the violation tolerance is flagged (and would constitute a
-    counterexample to the conjecture).
+    working resolution is re-evaluated at RECHECK_FACTOR * n; only a
+    persistent value below the violation tolerance is flagged (and would
+    constitute a counterexample to the conjecture).
     """
     evals = 0
     history = []
     best_x, best_f = None, np.inf
-    # what fourier_states reads of a spec; cfg has checked k, n and the shape,
-    # and each evaluation refills the coefficients in place
-    trial = SimpleNamespace(m_dim=cfg.m_dim, k=cfg.k, n=cfg.n,
-                            coeffs=np.empty((cfg.m_dim - 1, 2 * cfg.k + 1), dtype=complex))
-    real, imag = trial.coeffs.real.reshape(-1), trial.coeffs.imag.reshape(-1)
+    # the one coefficient array every evaluation refills: the search vector
+    # is x = (Re c, Im c) of its row-major flattening c
+    coeffs = np.empty((cfg.m_dim - 1, 2 * cfg.k + 1), dtype=complex)
+    real, imag = coeffs.real.reshape(-1), coeffs.imag.reshape(-1)
     half = cfg.dims // 2
 
     def objective(x):
+        nonlocal evals, best_x, best_f
+        evals += 1
         top = np.abs(x).max()
         if top > cfg.coeff_bound:
-            return _PENALTY * (1.0 + top - cfg.coeff_bound)
-        real[:] = x[:half]
-        imag[:] = x[half:]
-        try:
-            return _margin(fourier_states(trial))
-        except DegenerateSpec:
-            return _PENALTY
+            val = _PENALTY * (1.0 + top - cfg.coeff_bound)
+        else:
+            real[:], imag[:] = x[:half], x[half:]
+            try:
+                val = _margin(fourier_states(coeffs, cfg.n))
+            except DegenerateSpec:
+                val = _PENALTY
+        if val < best_f:
+            best_f, best_x = val, x.copy()
+            history.append((evals, float(val)))
+        return val
 
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    for child in children:
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         if cfg.budget - evals < cfg.dims + 2:  # not enough left for a simplex
             break
-        rng = np.random.default_rng(child)
-        x0 = rng.uniform(-cfg.coeff_bound, cfg.coeff_bound, size=cfg.dims)
+        x0 = np.random.default_rng(child).uniform(-cfg.coeff_bound, cfg.coeff_bound,
+                                                  size=cfg.dims)
+        _nelder_mead(objective, x0, 0.1 * cfg.coeff_bound, cfg.budget - evals)
 
-        def counting(x):
-            nonlocal evals, best_x, best_f
-            val = objective(x)
-            evals += 1
-            if val < best_f:
-                best_f, best_x = val, x.copy()
-                history.append((evals, float(val)))
-            return val
-
-        _nelder_mead(counting, x0, 0.1 * cfg.coeff_bound, cfg.budget - evals)
-
-    status = "budget_exhausted" if evals >= cfg.budget else "completed"
-    best_spec = _spec_from_vector(best_x, cfg, cfg.n)
+    real[:], imag[:] = best_x[:half], best_x[half:]
+    best_spec = FourierLoopSpec(cfg.m_dim, coeffs, cfg.k, cfg.n)
     margin_at_n = float(best_f)
-    best_margin = margin_at_n
-    if margin_at_n < 0.0:
-        best_margin = qii_objective(best_spec.with_resolution(4 * cfg.n))
+    best_margin = (qii_objective(best_spec.with_resolution(RECHECK_FACTOR * cfg.n))
+                   if margin_at_n < 0.0 else margin_at_n)
     return SearchResult(
-        best_margin=float(best_margin),
-        best_spec=best_spec,
-        evals=evals,
-        history=tuple(history),
-        status=status,
-        violation=bool(best_margin < -TOL.violation),
-        margin_at_n=margin_at_n,
-    )
+        best_margin=best_margin, best_spec=best_spec, evals=evals, history=tuple(history),
+        status="budget_exhausted" if evals >= cfg.budget else "completed",
+        violation=bool(best_margin < -TOL.violation), margin_at_n=margin_at_n)
 
 
 def extremality_scan(theta: float, modes, eps_grid, n: int = 8192) -> dict:

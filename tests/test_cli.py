@@ -125,6 +125,16 @@ def test_verify_workers_match_serial(tmp_path, monkeypatch):
     assert (serial / "margins.csv").read_text() == (parallel / "margins.csv").read_text()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "", "1.5"])
+def test_bad_qii_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("QII_THREADS", threads)
+    assert main(["verify", "--m", "2", "--loops", "2", "--n", "64",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: QII_THREADS must be a positive integer")
+    assert not (tmp_path / "o").exists()
+
+
 # --- figure1 ---
 
 def test_figure1_tables(tmp_path):
@@ -444,6 +454,11 @@ def _table_csv_without_rows(path):
     return ["models", "--table-csv", str(path)]
 
 
+def _table_csv_with_extra_column(path):
+    path.write_text("k,nx,ny,nz,extra\n0,1,0,0,9\n1,0,1,0,9\n2,0,0,1,9\n")
+    return ["models", "--table-csv", str(path)]
+
+
 def _model_json(text):
     def argv(path):
         path.write_text(text)
@@ -456,11 +471,16 @@ def _model_json(text):
     (_loop_csv_with_zero_row, "zero or non-finite"),
     (_loop_csv_with_odd_columns, "re/im pairs"),
     (_table_csv_without_rows, "no data rows"),
+    (_table_csv_with_extra_column, "4 values"),
     (_model_json('{"kind": "ssh", "parameters": {}}'), "'v'"),
     (_model_json('{"kind": "rhombohedral"}'), "'n_layers'"),
     (_model_json('{"parameters": {"t": 1.0}}'), "'kind'"),
     (_model_json('["ssh"]'), "object"),
     (_model_json('{"kind": "dirac", "parameters": {"v_f": 0}}'), "Fermi velocity"),
+    (_model_json('{"kind": "ssh", "parameters": {"v": 1, "w": 2, "u": 3}}'), "'u'"),
+    (_model_json('{"kind": "rhombohedral", "parameters": {"n_layers": 2, "scael": 3}}'),
+     "'scael'"),
+    (_model_json('{"kind": "dirac", "lattice_const": "abc"}'), "'abc'"),
     (_model_json('{"kind": "fourier_bloch", "parameters": {"const": [1, 0], '
                  '"cos": [[0, 0, 1]], "sin": [[0, 1, 0]]}}'), "3-vector"),
 ])
@@ -470,6 +490,14 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["apps", "--app", "wannier"], ["models"]])
+def test_bad_model_exits_2_before_the_manifest(tmp_path, capsys, command):
+    # the model is built before the output directory, as every app but speed needs one
+    assert main(command + ["--a", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: lattice constant")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -530,6 +558,19 @@ def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command,
     ["apps", "--app", "speed", "--theta-c", "0"],
     ["apps", "--app", "speed", "--theta-c", "-0.5"],
     ["apps", "--app", "wannier", "--theta-c", "2"],
+    # polygon, circle and filling ranges, caught before the manifest
+    ["apps", "--app", "sfweight", "--nu", "1.5"],
+    ["apps", "--app", "sfweight", "--nu", "0"],
+    ["figure1", "--theta", "0"],
+    ["figure1", "--theta", "4"],
+    ["figure1", "--n-per-edge", "0"],
+    ["loop-io", "export", "bc.csv", "--generator", "bloch-circle", "--theta", "0"],
+    ["loop-io", "export", "bc.csv", "--generator", "bloch-circle", "--n", "2"],
+    ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--n", "2"],
+    ["loop-io", "export", "sp.csv", "--generator", "spherical-polygon", "--vertices", "2"],
+    ["loop-io", "export", "sp.csv", "--generator", "spherical-polygon", "--theta", "-1"],
+    ["loop-io", "export", "sp.csv", "--generator", "spherical-polygon", "--n-per-edge", "0"],
+    ["search", "--m", "10", "--k", "5", "--budget", "100"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

@@ -245,7 +245,8 @@ def test_summarize_quarter_circle():
 def _scalar_cases():
     for m in (2, 3, 4):
         for seed in range(4):
-            yield fourier_states(random_fourier_spec(m, 2, 256 + 64 * seed, 100 * m + seed))
+            spec = random_fourier_spec(m, 2, 256 + 64 * seed, 100 * m + seed)
+            yield fourier_states(spec.coeffs, spec.n)
     for turns in (2, 3, 8):
         for per_turn in (4, 16, 64):
             yield great_circle([1.0, 0.3, -0.2], per_turn * turns, turns=turns).states

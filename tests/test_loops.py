@@ -421,7 +421,7 @@ def test_fourier_states_match_concatenated_rows():
         z = _fourier_basis(spec.n, spec.k) @ spec.coeffs.T
         rows = np.concatenate([np.ones((spec.n, 1), dtype=complex), z], axis=1)
         want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        np.testing.assert_array_equal(fourier_states(spec), want)
+        np.testing.assert_array_equal(fourier_states(spec.coeffs, spec.n), want)
 
 
 def test_fourier_states_are_column_major_and_match_the_row_major_oracle():
@@ -432,7 +432,7 @@ def test_fourier_states_are_column_major_and_match_the_row_major_oracle():
         for k in range(6):
             for n in (64, 97, 256, 1000, 2048):
                 spec = random_fourier_spec(m, k, n, rng)
-                states = fourier_states(spec)
+                states = fourier_states(spec.coeffs, spec.n)
                 assert states.flags.f_contiguous if m < 8 else states.flags.c_contiguous
                 assert states.tobytes() == row_major_fourier_states(spec).tobytes()
 
@@ -442,7 +442,8 @@ def test_loop_keeps_the_layout_of_narrow_states():
     loop = fourier_loop(spec)
     assert loop.states.flags.f_contiguous and not loop.states.flags.writeable
     assert Loop(np.ascontiguousarray(loop.states)).states.flags.c_contiguous
-    wide = np.asfortranarray(fourier_states(random_fourier_spec(8, 2, 256, 8)))
+    spec = random_fourier_spec(8, 2, 256, 8)
+    wide = np.asfortranarray(fourier_states(spec.coeffs, spec.n))
     assert Loop(wide).states.flags.c_contiguous
 
 
@@ -456,7 +457,7 @@ def _layout_cases(draw):
     turns = draw(st.sampled_from([1, 1, 2, 3]))
     scale = draw(st.sampled_from([0.05, 0.6, 2.0]))
     spec = random_fourier_spec(m, k, n, draw(st.integers(0, 2**32 - 1)), scale=scale)
-    states = np.asfortranarray(np.concatenate([fourier_states(spec)] * turns))
+    states = np.asfortranarray(np.concatenate([fourier_states(spec.coeffs, spec.n)] * turns))
     return states, np.ascontiguousarray(states)
 
 

@@ -223,6 +223,10 @@ def test_model_from_json_roundtrip():
     ('{"kind": "table", "parameters": {"k": [0, 1], "vectors": {}}}', "'table'"),
     ('{"kind": "dirac", "lattice_const": -1.0}', "lattice constant"),
     ('{"kind": "dirac", "lattice_const": NaN}', "lattice constant"),
+    # parameters are the builder's keywords: unknown or misspelt keys fail
+    ('{"kind": "rhombohedral", "parameters": {"n_layers": 2, "scael": 3}}', "'scael'"),
+    ('{"kind": "creutz", "parameters": {"t": 1, "a": 2}}', "'a'"),
+    ('{"kind": "dirac", "lattice_const": "abc"}', "'dirac'"),
 ])
 def test_model_from_json_malformed(doc, needle):
     with pytest.raises(OutOfRange, match=needle):
@@ -233,6 +237,15 @@ def test_bloch_table_from_csv_without_rows(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("k,nx,ny,nz\n")
     with pytest.raises(EmptyInput):
+        bloch_table_from_csv(path)
+
+
+@pytest.mark.parametrize("rows", ["0,1,0,0,9\n1,0,1,0,9\n", "0,1,0\n1,0,1\n",
+                                  "0,1,0,0\n1,0,1,0,9\n"])
+def test_bloch_table_from_csv_needs_four_values_a_row(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("k,nx,ny,nz\n" + rows)
+    with pytest.raises(WrongDimension, match="4 values"):
         bloch_table_from_csv(path)
 
 

@@ -111,6 +111,10 @@ def test_search_config_validation():
         SearchConfig(m_dim=1)
     with pytest.raises(OutOfRange):
         SearchConfig(m_dim=2, budget=10)
+    # 198 dimensions: a budget of 100 could not fill the first simplex
+    with pytest.raises(OutOfRange, match="at least 200 evaluations"):
+        SearchConfig(m_dim=10, k=5, budget=100)
+    assert minimize_margin(SearchConfig(m_dim=10, k=5, budget=200, restarts=1)).evals == 200
     # every evaluation's spec is valid once the config is
     with pytest.raises(OutOfRange):
         SearchConfig(m_dim=3, k=-1)
@@ -130,9 +134,9 @@ def test_search_samples_each_in_box_evaluation_once(monkeypatch):
     sampled, in_box = [], []
     real_states, real_simplex = search.fourier_states, search._nelder_mead
 
-    def states(spec):
-        sampled.append(spec.n)
-        return real_states(spec)
+    def states(coeffs, n):
+        sampled.append(n)
+        return real_states(coeffs, n)
 
     def simplex(fn, *args):
         def recording(x):
@@ -145,37 +149,45 @@ def test_search_samples_each_in_box_evaluation_once(monkeypatch):
     res = minimize_margin(cfg)
     assert len(in_box) == res.evals and 0 < sum(in_box) < res.evals
     assert sampled[:sum(in_box)] == [cfg.n] * sum(in_box)
-    assert len(sampled) == sum(in_box) + (res.margin_at_n < 0.0)   # the 4n recheck
+    assert len(sampled) == sum(in_box) + (res.margin_at_n < 0.0)   # the recheck
 
 
 def test_search_evaluation_matches_a_fresh_spec(monkeypatch):
-    # the refilled coefficient buffer holds x[:half] + 1j x[half:] bit for bit
+    # the refilled coefficient array holds x[:half] + 1j x[half:] bit for bit,
+    # and the best spec is the array of the best evaluation
     cfg = SearchConfig(m_dim=4, k=2, n=64, budget=200, restarts=1, seed=9)
     seen = []
     real_states = search.fourier_states
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, cfg.dims))
+    half = cfg.dims // 2
 
-    def states(spec):
-        seen.append(spec.coeffs.copy())
-        return real_states(spec)
+    def states(coeffs, n):
+        assert coeffs.shape == (cfg.m_dim - 1, 2 * cfg.k + 1) and n == cfg.n
+        seen.append(coeffs.copy())
+        return real_states(coeffs, n)
 
     def simplex(fn, x0, step, max_evals):
-        for x in np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, cfg.dims)):
+        for x in xs:
             seen.clear()
             fn(x)
-            want = search._spec_from_vector(x, cfg, cfg.n).coeffs
+            want = (x[:half] + 1j * x[half:]).reshape(cfg.m_dim - 1, 2 * cfg.k + 1)
             assert seen[0].tobytes() == want.tobytes()
         return x0, 0.0, 20
 
     monkeypatch.setattr(search, "fourier_states", states)
     monkeypatch.setattr(search, "_nelder_mead", simplex)
-    minimize_margin(cfg)
+    res = minimize_margin(cfg)
+    best = xs[res.history[-1][0] - 1]
+    assert res.best_spec.coeffs.tobytes() == (best[:half] + 1j * best[half:]).tobytes()
+    assert res.best_spec.n == cfg.n and res.best_spec.k == cfg.k
+    assert res.margin_at_n == qii_objective(res.best_spec)
 
 
 def test_objective_forms_cyclic_overlaps_once(monkeypatch):
     # a guard against a second overlap pass on an unsplit loop: count the
     # einsum calls that pair each state with its cyclic successor
     spec = random_fourier_spec(3, 2, 256, 4)
-    states = fourier_states(spec)
+    states = fourier_states(spec.coeffs, spec.n)
     parts = []
     _split_states(states, TOL.split, parts)
     assert len(parts) == 1
@@ -193,21 +205,21 @@ def test_objective_forms_cyclic_overlaps_once(monkeypatch):
     assert len(passes) == 1
 
 
-def _orthogonal_step(cfg):
-    """Search vector of a k = 1 loop with z(0) = 1 and z(2 pi / n) = -1:
+def _orthogonal_step(n):
+    """Coefficients of a k = 1 loop with z(0) = 1 and z(2 pi / n) = -1:
     its first two states are orthogonal."""
-    w = np.exp(2j * np.pi / cfg.n)
+    w = np.exp(2j * np.pi / n)
     c_minus, c_plus = np.linalg.solve([[1, 1], [1 / w, w]], [1, -1])
-    coeffs = np.array([c_minus, 0.0, c_plus])
-    return np.concatenate([coeffs.real, coeffs.imag])
+    return np.array([[c_minus, 0.0, c_plus]])
 
 
 def test_search_scores_a_degenerate_spec_as_penalty(monkeypatch):
     cfg = SearchConfig(m_dim=2, k=1, n=16, budget=100, restarts=1, coeff_bound=3.0)
-    x = _orthogonal_step(cfg)
+    coeffs = _orthogonal_step(cfg.n)
+    x = np.concatenate([coeffs.real.ravel(), coeffs.imag.ravel()])
     assert np.abs(x).max() < cfg.coeff_bound
     with pytest.raises(DegenerateSpec):
-        qii_objective(search._spec_from_vector(x, cfg, cfg.n))
+        qii_objective(FourierLoopSpec(cfg.m_dim, coeffs, cfg.k, cfg.n))
     seen = []
     monkeypatch.setattr(search, "_nelder_mead",
                         lambda fn, x0, step, max_evals: seen.append(fn(x)))
@@ -327,7 +339,7 @@ def test_search_recheck_at_higher_resolution():
     assert res.best_margin >= -TOL.violation
     assert res.status in {"budget_exhausted", "completed"}
     # the reported margin re-evaluates the stored spec
-    re_eval = qii_objective(res.best_spec.with_resolution(4 * cfg.n))
+    re_eval = qii_objective(res.best_spec.with_resolution(search.RECHECK_FACTOR * cfg.n))
     if res.margin_at_n < 0:
         assert res.best_margin == pytest.approx(re_eval, abs=1e-12)
 
