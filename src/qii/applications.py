@@ -14,8 +14,8 @@ import numpy as np
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
 from .geometry import Loop, aggregate_summary, segment_distance, summarize
-from .models import (ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors, bloch,
-                     bz_grid, fourier_bloch, metric_grid)
+from .models import (_BAND_INDEX, ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors,
+                     bloch, bz_grid, fourier_bloch)
 from .loops import split_self_intersections
 
 __all__ = [
@@ -86,22 +86,33 @@ def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> floa
     """Gauge-invariant Wannier spread: (a / 2 pi) * integral of Tr g over the BZ.
 
     The periodic trapezoid rule reduces to the grid mean of Tr g; units
-    are length^2.
+    are length^2.  The metric is the same for both bands.
     """
+    return _omega1(spec, band, n_k)[0]
+
+
+def check_1d_model(spec: ModelSpec, chain: str):
+    """The Wannier and superfluid-weight chains integrate over a 1D Brillouin zone."""
     if spec.dim_k != 1:
-        raise OutOfRange("the Wannier chain is implemented for 1D models")
-    return float(np.mean(metric_grid(spec, band, bz_grid(spec, n_k))[:, 0, 0]))
+        raise OutOfRange(f"the {chain} chain is implemented for 1D models")
+
+
+def _omega1(spec: ModelSpec, band: str, n_k: int):
+    """(wannier_omega1, n, |n|, hypot(n_x, n_y)) from one gated Bloch evaluation
+    on the Brillouin-zone grid stacked with its +- h shifts."""
+    check_1d_model(spec, "Wannier")
+    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
+    vec, norm, rho = _gated_bloch(spec, bz_grid(spec, n_k), stencil=True)
+    # the grid mean: np.mean's own sum, then one division
+    return float(np.add.reduce(_metric(vec, norm, 1)[:, 0, 0]) / n_k), vec, norm, rho
 
 
 def _band_chain(spec: ModelSpec, band: str, n_k: int):
     """(wannier_omega1, summarize(bz_loop(...)), |n(k)| on the loop's momenta)
     from one Bloch evaluation: the metric's stacked k rows are the loop's momenta."""
-    if spec.dim_k != 1:
-        raise OutOfRange("the Wannier chain is implemented for 1D models")
-    ks = bz_grid(spec, n_k)
-    vec, norm = _gated_bloch(spec, ks, ks)
-    omega1 = float(np.mean(_metric(vec, norm, 1)[:, 0, 0]))
-    return omega1, summarize(Loop(_spinors(vec[:n_k], norm[:n_k], band))), norm[:n_k]
+    omega1, vec, norm, rho = _omega1(spec, band, n_k)
+    states = _spinors(vec[:n_k], norm[:n_k], rho[:n_k], band)
+    return omega1, summarize(Loop(states)), norm[:n_k]
 
 
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
@@ -123,8 +134,7 @@ def evolve(h_of_t, psi0, duration: float, steps: int) -> Trajectory:
     drift beyond the tolerance raises NormDrift.  Delta E(t) and the
     accumulated Fubini-Study length are recorded at every step.
     """
-    if steps < 1:
-        raise OutOfRange(f"need at least one integration step, got {steps}")
+    check_steps(steps)
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     dt = duration / steps
@@ -197,6 +207,18 @@ def check_cone_angle(theta_c: float):
         raise OutOfRange(f"cone angle must lie in (0, pi/2), got {theta_c}")
 
 
+def check_steps(steps: int):
+    """Fixed-step evolution needs at least one step."""
+    if steps < 1:
+        raise OutOfRange(f"need at least one integration step, got {steps}")
+
+
+def check_period_ratio(ratio: float):
+    """The drive period of `adiabatic_cone_demo` is ratio / omega0 times 2 pi, ratio in (0, inf)."""
+    if not 0.0 < ratio < np.inf:
+        raise OutOfRange(f"period ratio must be positive and finite, got {ratio}")
+
+
 def check_pairing(u: float, nu: float):
     """The superfluid-weight chain needs a filling 0 < nu < 1 and a finite attraction U > 0."""
     if not 0.0 < nu < 1.0:
@@ -216,8 +238,7 @@ def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0
     drive period.  Returns (trajectory, gamma_b, SpeedLimitReport).
     """
     check_cone_angle(theta_c)
-    if not 0.0 < ratio < np.inf:
-        raise OutOfRange(f"period ratio must be positive and finite, got {ratio}")
+    check_period_ratio(ratio)
     omega_d = omega0 / ratio
 
     def h_of_t(t):
@@ -250,8 +271,8 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     k_f, directions = _fermi_circle(spec, e_f, n)
     n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
     ks = k_f * directions   # the loop's momenta are the metric's centres
-    vec, norm = _gated_bloch(spec, ks, ks)
-    loop = Loop(_spinors(vec[:n_eff], norm[:n_eff], "upper"))
+    vec, norm, rho = _gated_bloch(spec, ks, stencil=True)
+    loop = Loop(_spinors(vec[:n_eff], norm[:n_eff], rho[:n_eff], "upper"))
     g = _metric(vec, norm, 2)
     that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
     trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
@@ -275,8 +296,7 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     metric gives d = gamma = 0 and the whole chain collapses to zero.
     """
     check_pairing(u, nu)
-    if spec.dim_k != 1:
-        raise OutOfRange("the superfluid-weight chain is implemented for 1D models")
+    check_1d_model(spec, "superfluid-weight")
     m_bands = spec.bands
     notes = [spec.describe(), f"U={u}", f"nu={nu}"]
     if spec.kind == "ssh" and spec.params["v"] * spec.params["w"] == 0.0:

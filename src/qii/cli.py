@@ -21,16 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .applications import (adiabatic_cone_demo, check_cone_angle, check_pairing,
-                           eph_bound_chain, superfluid_weight_1d, wannier_bound_chain)
+from .applications import (adiabatic_cone_demo, check_1d_model, check_cone_angle,
+                           check_pairing, check_period_ratio, check_steps, eph_bound_chain,
+                           superfluid_weight_1d, wannier_bound_chain)
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_angle,
-                    check_polygon, check_samples, check_seed, fourier_loop, great_circle,
-                    load_loop, random_fourier_spec, save_loop, spherical_polygon,
-                    split_self_intersections)
-from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy,
+                    check_polygon, check_samples, check_seed, check_turns, fourier_loop,
+                    great_circle, load_loop, random_fourier_spec, save_loop,
+                    spherical_polygon, split_self_intersections)
+from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy, check_fermi_model,
                      fermi_surface_loop, model_from_json)
 from .search import RECHECK_FACTOR, SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
@@ -273,8 +274,16 @@ def _cmd_models(args) -> int:
 
 # ---------------------------------------------------------------- apps
 
+# the model each chain needs, checked before the manifest is written
+_APP_MODEL_CHECKS = {"wannier": lambda spec: check_1d_model(spec, "Wannier"),
+                     "sfweight": lambda spec: check_1d_model(spec, "superfluid-weight"),
+                     "eph": check_fermi_model}
+
+
 def _cmd_apps(args) -> int:
     spec = None if args.app == "speed" else _model_from_args(args)
+    if spec is not None:
+        _APP_MODEL_CHECKS[args.app](spec)
     out = _prepare_outdir(args, "apps")
     notes = ()
     if args.app == "wannier":
@@ -538,11 +547,6 @@ def _check_args(args):
         if args.nk < 3:
             raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
         check_fermi_energy(args.ef)
-    if args.command == "apps":
-        if args.steps < 1:
-            raise _UsageError(f"need --steps >= 1, got {args.steps}")
-        if not args.ratio > 0:
-            raise _UsageError(f"need --ratio > 0, got {args.ratio}")
     if args.command == "verify":
         if args.loops < 1:
             raise _UsageError(f"need --loops >= 1, got {args.loops}")
@@ -550,8 +554,6 @@ def _check_args(args):
     export = args.command == "loop-io" and args.action == "export"
     generator = args.generator if export else None
     if generator == "great-circle":
-        if args.turns < 1:
-            raise _UsageError(f"need --turns >= 1, got {args.turns}")
         _axis_arg(args.axis)
     try:
         if args.command == "verify" or generator == "fourier-random":
@@ -559,6 +561,8 @@ def _check_args(args):
             check_seed(args.seed)
         if generator in ("bloch-circle", "great-circle"):
             check_samples(args.n)
+        if generator == "great-circle":
+            check_turns(args.turns)
         if args.command == "figure1" or generator in ("bloch-circle", "spherical-polygon"):
             check_polar_angle(args.theta)
         if args.command == "figure1":
@@ -568,6 +572,8 @@ def _check_args(args):
         if args.command == "search":
             _search_configs(args)
         if args.command == "apps":
+            check_steps(args.steps)
+            check_period_ratio(args.ratio)
             check_cone_angle(args.theta_c)
             if args.app == "sfweight":
                 check_pairing(args.u, args.nu)

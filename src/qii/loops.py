@@ -39,6 +39,12 @@ def check_samples(n: int):
         raise BadResolution(f"need n >= 3 samples, got {n}")
 
 
+def check_turns(turns: int):
+    """A great circle is traversed at least once."""
+    if turns < 1:
+        raise OutOfRange(f"need turns >= 1, got {turns}")
+
+
 def check_polar_angle(theta: float):
     """A circle or polygon at polar angle theta needs 0 < theta < pi."""
     if not 0.0 < theta < np.pi:
@@ -82,8 +88,7 @@ def _unit_axis(axis) -> np.ndarray:
 def great_circle(axis, n: int, turns: int = 1) -> Loop:
     """Great circle of the Bloch sphere normal to `axis`, traversed `turns` times."""
     check_samples(n)
-    if turns < 1:
-        raise OutOfRange(f"need turns >= 1, got {turns}")
+    check_turns(turns)
     axis = _unit_axis(axis)
     # deterministic frame: cross with the least-aligned basis vector
     seed = np.zeros(3)

@@ -25,7 +25,8 @@ __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
     "band_state", "band_states", "band_chart", "metric_grid",
-    "bz_grid", "bz_loop", "check_fermi_energy", "fermi_surface_loop", "dirac_metric",
+    "bz_grid", "bz_loop", "check_fermi_energy", "check_fermi_model", "fermi_surface_loop",
+    "dirac_metric",
 ]
 
 _BAND_INDEX = {"lower": 0, "upper": 1}
@@ -143,9 +144,11 @@ def _creutz_bloch(spec, ks):
 
 
 def _fourier_bloch(spec, ks):
-    p, ka = spec.params, ks * spec.a
-    return (p["const"] + np.cos(np.outer(ka, np.arange(1, len(p["cos"]) + 1))) @ p["cos"]
-            + np.sin(np.outer(ka, np.arange(1, len(p["sin"]) + 1))) @ p["sin"])
+    p = spec.params
+    m_cos, m_sin = len(p["cos"]), len(p["sin"])
+    phases = (ks * spec.a)[:, None] * np.arange(1, max(m_cos, m_sin) + 1)   # one table
+    return (p["const"] + np.cos(phases[:, :m_cos]) @ p["cos"]
+            + np.sin(phases[:, :m_sin]) @ p["sin"])
 
 
 def _table_bloch(spec, ks):
@@ -229,36 +232,41 @@ def bloch(spec: ModelSpec, ks) -> np.ndarray:
     return _KINDS[spec.kind].bloch(spec, ks)
 
 
-def _gated_bloch(spec: ModelSpec, ks, centers=None):
-    """Bloch vectors and norms from one `bloch` call on the stacked [ks, c +- h e_i]
-    (c = centers, h = TOL.fd_step; ks alone without centers), gap-gated once:
-    the first closing in that order is named, one at ks as band_states does."""
+def _gated_bloch(spec: ModelSpec, ks, stencil: bool = False):
+    """(n, |n|, hypot(n_x, n_y)) from one `bloch` call on ks, or with stencil
+    on the stacked [ks, ks +- h e_i] (h = TOL.fd_step), gap-gated once: the
+    first closing in that order is named, one at ks as band_states does."""
     ks = np.asarray(ks, dtype=float)
-    if centers is not None:
+    if stencil:
         steps = [TOL.fd_step] if spec.dim_k == 1 else list(np.eye(2) * TOL.fd_step)
-        ks = np.concatenate([ks] + [np.add(centers, sign * e) for e in steps for sign in (1, -1)])
+        ks = np.concatenate([ks] + [np.add(ks, sign * e) for e in steps for sign in (1, -1)])
     n = bloch(spec, ks)
-    norm = _norm(n)   # eigenvalues -+|n|, gap 2|n|
+    rho = np.hypot(n[:, 0], n[:, 1])
+    norm = np.hypot(rho, n[:, 2])   # eigenvalues -+|n|, gap 2|n|
+    gap = 2.0 * norm
     # the gap is measured against max(model scale, |eigenvalue|), since at an
-    # exact closing the local matrix norm itself collapses to rounding noise
-    scale = np.maximum(_KINDS[spec.kind].scale(spec.params), norm)
-    bad = np.flatnonzero(2.0 * norm < TOL.degeneracy * np.maximum(scale, TOL.zero_vector))
-    if bad.size:
-        raise DegenerateAtTolerance(f"gap {2.0 * norm[bad[0]]:.3e} at k = {ks[bad[0]]} "
+    # exact closing the local matrix norm itself collapses to rounding noise;
+    # where |n| is past the scale, 2|n| clears TOL.degeneracy * |n| anyway, so
+    # one threshold gates every row (NaN and inf rows never fall below it)
+    closed = gap < TOL.degeneracy * max(_KINDS[spec.kind].scale(spec.params), TOL.zero_vector)
+    if closed.any():
+        first = closed.argmax()
+        raise DegenerateAtTolerance(f"gap {gap[first]:.3e} at k = {ks[first]} "
                                     f"below {TOL.degeneracy:.0e} * model scale")
-    return n, norm
+    return n, norm, rho
 
 
-def _spinors(n, r, band: str) -> np.ndarray:
-    """States of one band from gated Bloch vectors n with norms r; see band_states."""
-    x, y, z = n.T
-    rho = np.hypot(x, y)
-    if not np.all(np.isfinite(r)):
+def _spinors(n, r, rho, band: str) -> np.ndarray:
+    """States of one band from gated Bloch vectors n with norms r and in-plane
+    norms rho; see band_states."""
+    if not np.isfinite(r).all():
         raise ValueError("vector has non-finite entries")
+    x, y, z = n.T
     # (r + |z|) / 2 and (r - |z|) / 2 = rho^2 / (2 (r + |z|)), free of
     # cancellation and overflow; r > 0 past the gate
     big = 0.5 * r + 0.5 * np.abs(z)
-    small = (0.5 * rho) * (0.5 * rho / big)
+    half_rho = 0.5 * rho
+    small = half_rho * (half_rho / big)
     north = z >= 0.0
     cos = np.sqrt(np.where(north, big, small) / r)
     sin = np.sqrt(np.where(north, small, big) / r)
@@ -267,16 +275,21 @@ def _spinors(n, r, band: str) -> np.ndarray:
     a, b = (sin, -cos) if _BAND_INDEX[band] == 0 else (cos, sin)   # state (a, e^{ip} b)
     lead = a > TOL.gauge_zero   # else the second entry is made real positive
     states = np.empty((len(r), 2), dtype=complex)
-    states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
-    states[:, 1] = np.where(lead, phase * b, np.abs(b))
+    if lead.all():
+        states[:, 0] = a
+        states[:, 1] = phase * b
+    else:
+        states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
+        states[:, 1] = np.where(lead, phase * b, np.abs(b))
     return states
 
 
 def _metric(n, norm, dim_k: int) -> np.ndarray:
     """Metric from gated Bloch vectors on a stacked k, k +- h e_i; see metric_grid."""
-    unit = (n / norm[:, None]).reshape(1 + 2 * dim_k, len(n) // (1 + 2 * dim_k), 3)
-    dn = ((unit[1::2] - unit[2::2]) / (2.0 * TOL.fd_step)).swapaxes(0, 1)
-    if not np.all(np.isfinite(dn)):
+    m = len(n) // (1 + 2 * dim_k)   # the centre rows are not differenced
+    unit = (n[m:] / norm[m:, None]).reshape(2 * dim_k, m, 3)
+    dn = ((unit[0::2] - unit[1::2]) / (2.0 * TOL.fd_step)).swapaxes(0, 1)
+    if not np.isfinite(dn).all():
         raise NonFiniteDerivative("non-finite Bloch-vector difference")
     return 0.25 * np.einsum("nmi,nli->nml", dn, dn)
 
@@ -320,7 +333,8 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     that order.
     """
     _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
-    return _metric(*_gated_bloch(spec, ks, ks), spec.dim_k)
+    n, norm, _ = _gated_bloch(spec, ks, stencil=True)
+    return _metric(n, norm, spec.dim_k)
 
 
 def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:
@@ -341,11 +355,16 @@ def check_fermi_energy(e_f: float):
         raise OutOfRange(f"Fermi energy E_F must be finite and positive, got {e_f}")
 
 
+def check_fermi_model(spec: ModelSpec):
+    """A Fermi surface needs a 2D model with a circular one."""
+    if _KINDS[spec.kind].fermi is None:
+        raise WrongDimension("Fermi-surface loops need a 2D model")
+
+
 def _fermi_circle(spec: ModelSpec, e_f: float, n: int):
     """k_F and the (n', 2) unit directions of fermi_surface_loop's samples."""
     check_fermi_energy(e_f)
-    if _KINDS[spec.kind].fermi is None:
-        raise WrongDimension("Fermi-surface loops need a 2D model")
+    check_fermi_model(spec)
     k_f, n = _KINDS[spec.kind].fermi(spec.params, e_f, n)
     alphas = 2.0 * np.pi * np.arange(n) / n
     return k_f, np.stack([np.cos(alphas), np.sin(alphas)], axis=1)

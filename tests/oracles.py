@@ -7,9 +7,10 @@ dynamics from the closed-form matrix exponential.  The band-structure
 oracles evaluate one k point at a time, through the model's Hamiltonian
 and the generic chart path, never through the batched k-array code.
 The np.roll overlap pass, the row-major Fourier sampler, the Gram-matrix
-splitter, the list-based simplex and the bound chains composed of the
-public model functions are earlier implementations, kept so the current
-ones can be held to them bit for bit.
+splitter, the list-based simplex, the bound chains composed of the
+public model functions and the two-outer Fourier Bloch map, elementwise
+gap gate, where-spinors and full-stack metric are earlier
+implementations, kept so the current ones can be held to them bit for bit.
 """
 
 import cmath
@@ -189,16 +190,16 @@ def composed_band_chain(spec, band, n_k):
     return omega1, s.d_fs, s.gamma_b
 
 
-def composed_wannier_values(spec, band, n_k):
-    omega1, d, gamma = composed_band_chain(spec, band, n_k)
+def composed_wannier_values(spec, band, n_k, band_chain=composed_band_chain):
+    omega1, d, gamma = band_chain(spec, band, n_k)
     a = spec.a
     return omega1, (a * d / (2.0 * np.pi)) ** 2, (a * gamma / (2.0 * np.pi)) ** 2
 
 
-def composed_superfluid_values(spec, u, nu, n_k):
+def composed_superfluid_values(spec, u, nu, n_k, band_chain=composed_band_chain):
     if spec.kind == "ssh" and spec.params["v"] * spec.params["w"] == 0.0:
         return 0.0, 0.0, 0.0
-    omega1, d, gamma = composed_band_chain(spec, "lower", n_k)
+    omega1, d, gamma = band_chain(spec, "lower", n_k)
     factor = u * nu * (1.0 - nu)
     d_s = factor / (np.pi**2 * 2) * (omega1 * 2.0 * np.pi / spec.a)
     pref = spec.a * factor / (2.0 * np.pi**3 * 2)
@@ -300,3 +301,94 @@ def list_nelder_mead(fn, x0, step, max_evals):
                 evals += d
     best = int(np.argmin(fvals))
     return simplex[best], fvals[best], evals
+
+
+def outer_fourier_bloch(spec, ks) -> np.ndarray:
+    """The earlier Fourier Bloch map: one np.outer phase table per series."""
+    p, ka = spec.params, np.asarray(ks, dtype=float) * spec.a
+    return (p["const"] + np.cos(np.outer(ka, np.arange(1, len(p["cos"]) + 1))) @ p["cos"]
+            + np.sin(np.outer(ka, np.arange(1, len(p["sin"]) + 1))) @ p["sin"])
+
+
+def elementwise_gated_bloch(spec, ks, centers=None):
+    """The earlier gap gate: (Bloch vectors, norms) on [ks, c +- h e_i], each
+    row gated against max(model scale, |n|, zero_vector) of its own."""
+    from qii.config import TOL
+    from qii.errors import DegenerateAtTolerance
+    from qii.models import _KINDS, bloch
+    ks = np.asarray(ks, dtype=float)
+    if centers is not None:
+        steps = [TOL.fd_step] if spec.dim_k == 1 else list(np.eye(2) * TOL.fd_step)
+        ks = np.concatenate([ks] + [np.add(centers, sign * e) for e in steps for sign in (1, -1)])
+    n = (outer_fourier_bloch(spec, ks) if spec.kind == "fourier_bloch" else bloch(spec, ks))
+    norm = np.hypot(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
+    scale = np.maximum(_KINDS[spec.kind].scale(spec.params), norm)
+    bad = np.flatnonzero(2.0 * norm < TOL.degeneracy * np.maximum(scale, TOL.zero_vector))
+    if bad.size:
+        raise DegenerateAtTolerance(f"gap {2.0 * norm[bad[0]]:.3e} at k = {ks[bad[0]]} "
+                                    f"below {TOL.degeneracy:.0e} * model scale")
+    return n, norm
+
+
+def where_spinors(n, r, band) -> np.ndarray:
+    """The earlier band states from gated Bloch vectors: both gauge branches
+    formed on every row and chosen by np.where."""
+    from qii.config import TOL
+    x, y, z = n.T
+    rho = np.hypot(x, y)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("vector has non-finite entries")
+    big = 0.5 * r + 0.5 * np.abs(z)
+    small = (0.5 * rho) * (0.5 * rho / big)
+    north = z >= 0.0
+    cos = np.sqrt(np.where(north, big, small) / r)
+    sin = np.sqrt(np.where(north, small, big) / r)
+    phase = np.ones(len(r), dtype=complex)
+    np.divide(x + 1j * y, rho, out=phase, where=rho > 0.0)
+    a, b = (sin, -cos) if {"lower": 0, "upper": 1}[band] == 0 else (cos, sin)
+    lead = a > TOL.gauge_zero
+    states = np.empty((len(r), 2), dtype=complex)
+    states[:, 0] = np.where(lead, a, np.sign(b) * a * phase.conj())
+    states[:, 1] = np.where(lead, phase * b, np.abs(b))
+    return states
+
+
+def full_stack_metric(n, norm, dim_k) -> np.ndarray:
+    """The earlier metric: unit vectors of every stacked row, centres included."""
+    from qii.config import TOL
+    from qii.errors import NonFiniteDerivative
+    unit = (n / norm[:, None]).reshape(1 + 2 * dim_k, len(n) // (1 + 2 * dim_k), 3)
+    dn = ((unit[1::2] - unit[2::2]) / (2.0 * TOL.fd_step)).swapaxes(0, 1)
+    if not np.all(np.isfinite(dn)):
+        raise NonFiniteDerivative("non-finite Bloch-vector difference")
+    return 0.25 * np.einsum("nmi,nli->nml", dn, dn)
+
+
+def earlier_band_chain(spec, band, n_k):
+    """(Omega_1, d_fs, gamma_b) of a 1D band from the earlier formulas above:
+    one gated evaluation, np.mean of the metric, summarize of the spinor loop."""
+    from qii.geometry import Loop, summarize
+    from qii.models import bz_grid
+    ks = bz_grid(spec, n_k)
+    vec, norm = elementwise_gated_bloch(spec, ks, ks)
+    omega1 = float(np.mean(full_stack_metric(vec, norm, 1)[:, 0, 0]))
+    s = summarize(Loop(where_spinors(vec[:n_k], norm[:n_k], band)))
+    return omega1, s.d_fs, s.gamma_b
+
+
+def earlier_eph_values(spec, e_f, n):
+    """The eph chain from the earlier formulas above."""
+    from qii.geometry import Loop, aggregate_summary, summarize
+    from qii.loops import split_self_intersections
+    from qii.models import _fermi_circle
+    k_f, directions = _fermi_circle(spec, e_f, n)
+    n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
+    ks = k_f * directions
+    vec, norm = elementwise_gated_bloch(spec, ks, ks)
+    loop = Loop(where_spinors(vec[:n_eff], norm[:n_eff], "upper"))
+    g = full_stack_metric(vec, norm, 2)
+    that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
+    agg = aggregate_summary([summarize(p) for p in split_self_intersections(loop)])
+    return (float(np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff),
+            float(np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff),
+            agg.d_fs**2 / l_fs, agg.gamma_total**2 / l_fs)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import (chart_metric_grid, composed_eph_values, composed_superfluid_values,
-                     composed_wannier_values, hamiltonian, per_k_band_states,
-                     two_level_propagator, unwrapped_winding_metric_integral)
+                     composed_wannier_values, earlier_band_chain, earlier_eph_values,
+                     hamiltonian, per_k_band_states, two_level_propagator,
+                     unwrapped_winding_metric_integral)
 from qii import applications, geometry, models
 from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
 from qii.config import TOL
-from qii.errors import DegenerateAtTolerance, NonFiniteDerivative, NotCyclic, OutOfRange
+from qii.errors import (DegenerateAtTolerance, NonFiniteDerivative, NotCyclic, OutOfRange,
+                        QiiError)
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
 from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
@@ -349,6 +351,73 @@ def test_eph_chains_equal_their_composition_exactly():
             got = tuple(eph_bound_chain(spec, e_f, n).values)
             assert got == composed_eph_values(spec, e_f, n)
     assert radii_off > 0
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# every 1D kind and seeded random models
+_EARLIER_1D = _ONE_D + [random_gapped_bloch_spec(np.random.default_rng([seed, 4]))
+                        for seed in range(1, 5)]
+
+
+@pytest.mark.parametrize("n_k", [24, 96, 97])
+@pytest.mark.parametrize("spec", _EARLIER_1D, ids=lambda s: s.describe())
+def test_1d_chains_equal_the_earlier_formulas(spec, n_k):
+    # the two-outer Fourier map, the elementwise gate, the where-spinors,
+    # the metric of the whole stack and np.mean give the same bytes
+    for band in ("lower", "upper"):
+        assert (_bytes(wannier_bound_chain(spec, band, n_k).values)
+                == _bytes(composed_wannier_values(spec, band, n_k, earlier_band_chain)))
+    assert (_bytes(superfluid_weight_1d(spec, 1.3, 0.4, n_k).values)
+            == _bytes(composed_superfluid_values(spec, 1.3, 0.4, n_k, earlier_band_chain)))
+
+
+@pytest.mark.parametrize("spec", _EARLIER_1D, ids=lambda s: s.describe())
+def test_wannier_omega1_is_the_chain_s_first_entry(spec):
+    for band in ("lower", "upper"):
+        for n_k in (24, 97):
+            first = wannier_bound_chain(spec, band, n_k).entries[0][1]
+            assert _bytes(wannier_omega1(spec, band, n_k)) == _bytes(first)
+
+
+def test_eph_chains_equal_the_earlier_formulas():
+    rng = np.random.default_rng(14)
+    cases = [(dirac(v_f), e_f) for v_f, e_f in rng.uniform(0.5, 2.0, (3, 2))]
+    cases += [(rhombohedral(layers, scale), e_f) for layers in range(1, 6)
+              for scale, e_f in rng.uniform(0.5, 2.0, (2, 2))]
+    for spec, e_f in cases:
+        for n in (64, 97, 256):
+            assert (_bytes(eph_bound_chain(spec, e_f, n).values)
+                    == _bytes(earlier_eph_values(spec, e_f, n)))
+
+
+def _chain_outcome(run):
+    try:
+        return _bytes(run())
+    except (QiiError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("row", [0, 5, 30, 40, 70])   # 24 centre rows, then the shifted ones
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_chain_rows_equal_the_earlier_formulas(monkeypatch, row, bad):
+    for kind, spec, earlier, chain in (
+            ("ssh", ssh(2, 1), lambda s: composed_wannier_values(s, "lower", 24, earlier_band_chain),
+             lambda s: wannier_bound_chain(s, n_k=24).values),
+            ("dirac", dirac(1.0), lambda s: earlier_eph_values(s, 1.0, 24),
+             lambda s: eph_bound_chain(s, 1.0, 24).values)):
+        real = models._KINDS[kind]
+
+        def patched(spec, ks, real=real):
+            n = real.bloch(spec, ks)
+            n[row] = [bad, 0.3, 0.2]
+            return n
+
+        monkeypatch.setitem(models._KINDS, kind, dataclasses.replace(real, bloch=patched))
+        with np.errstate(invalid="ignore"):   # inf / inf unit vectors
+            assert _chain_outcome(lambda: chain(spec)) == _chain_outcome(lambda: earlier(spec))
 
 
 def _closing_after_a_step(n_k):

@@ -492,11 +492,21 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, make_argv, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["apps", "--app", "wannier"], ["models"]])
-def test_bad_model_exits_2_before_the_manifest(tmp_path, capsys, command):
-    # the model is built before the output directory, as every app but speed needs one
-    assert main(command + ["--a", "-1", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: lattice constant")
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["apps", "--app", "wannier", "--a", "-1"], "lattice constant", id="command0"),
+    pytest.param(["models", "--a", "-1"], "lattice constant", id="command1"),
+    # a chain given a model of the other dimension
+    pytest.param(["apps", "--app", "eph", "--model", "ssh"],
+                 "Fermi-surface loops need a 2D model", id="eph-ssh"),
+    pytest.param(["apps", "--app", "sfweight", "--model", "dirac"],
+                 "the superfluid-weight chain is implemented for 1D models", id="sfweight-dirac"),
+    pytest.param(["apps", "--app", "wannier", "--model", "dirac"],
+                 "the Wannier chain is implemented for 1D models", id="wannier-dirac"),
+])
+def test_bad_model_exits_2_before_the_manifest(tmp_path, capsys, command, message):
+    # the model is built and fitted to the chain before the output directory
+    assert main(command + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "o").exists()
 
 
@@ -577,6 +587,19 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["apps", "--app", "speed", "--steps", "0"], "need at least one integration step, got 0"),
+    (["apps", "--app", "speed", "--ratio", "-2"], "period ratio must be positive and finite"),
+    (["loop-io", "export", "gc.csv", "--generator", "great-circle", "--turns", "0"],
+     "need turns >= 1, got 0"),
+])
+def test_flag_rules_give_the_library_s_message(tmp_path, capsys, argv, message):
+    # evolve, adiabatic_cone_demo and great_circle own these rules
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
     assert not (tmp_path / "o").exists()
 
 

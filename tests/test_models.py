@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import CHIRAL_OPERATORS, PAULI, chart_metric_grid, hamiltonian, per_k_band_states
+from oracles import (CHIRAL_OPERATORS, PAULI, chart_metric_grid, elementwise_gated_bloch,
+                     full_stack_metric, hamiltonian, outer_fourier_bloch, per_k_band_states,
+                     where_spinors)
+from qii import models
 from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
@@ -402,6 +406,117 @@ def test_gap_gate_names_the_first_closing(run, message, band):
 def test_band_states_reject_non_finite_bloch_vectors(spec, k):
     with pytest.raises(ValueError, match="non-finite"):
         band_state(spec, k)
+
+
+# --- k-array paths against the earlier formulas, byte for byte ---
+
+def _outcome(run):
+    """The bytes and shape of a run's array, or its error type and message."""
+    try:
+        out = run()
+    except (QiiError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.tobytes(), out.shape
+
+
+def _assert_as_earlier(spec, ks):
+    """band_states, metric_grid and bloch give the earlier formulas' bytes, or
+    the same error: the two-outer Fourier map, the elementwise gate, the
+    where-spinors and the metric of the whole stack."""
+    if spec.kind == "fourier_bloch":
+        assert bloch(spec, ks).tobytes() == outer_fourier_bloch(spec, ks).tobytes()
+    earlier_metric = _outcome(lambda: full_stack_metric(
+        *elementwise_gated_bloch(spec, ks, ks), spec.dim_k))
+    for band in ("lower", "upper"):
+        assert (_outcome(lambda: band_states(spec, ks, band))
+                == _outcome(lambda: where_spinors(*elementwise_gated_bloch(spec, ks), band)))
+        assert _outcome(lambda: metric_grid(spec, band, ks)) == earlier_metric
+
+
+# every kind, Fourier series with more sine than cosine terms and with three
+# harmonics, and |n| past the model scale (|k| > 1 for the 2D models)
+_AS_EARLIER = EVERY_KIND + [
+    fourier_bloch([0.1, 0.9, -0.4], [[0.3, -0.2, 0.1]], [[0.2, 0.1, -0.5], [0.0, 0.3, 0.2]]),
+    fourier_bloch([0.2, -0.1, 1.9], _RNG.normal(size=(3, 3)) / 3, _RNG.normal(size=(3, 3)) / 3,
+                  a=1.3),
+    rhombohedral(1), rhombohedral(2, 2.5), rhombohedral(5, 0.3)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_k_array_paths_equal_the_earlier_formulas(seed):
+    rng = np.random.default_rng(seed)
+    for spec in _AS_EARLIER:
+        ks = _k_points(spec, int(rng.integers(1, 60)))
+        ks = ks * rng.uniform(0.2, 3.0)   # 2D radii from 0.1 to 6
+        _assert_as_earlier(spec, ks)
+
+
+# pole rows (rho = 0, where one band's first entry is zero) mixed with
+# gapped rows, read exactly at the table's nodes
+_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.2, 0.3], [0.0, 0.0, 2.0],
+                   [-0.3, 0.4, -0.5], [0.0, 0.0, -0.5], [1e-12, 0.0, 1.0], [0.0, 1e-11, -1.0]])
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4, 5, 6, 7], [0, 3], [1, 5], [2, 4]])
+def test_pole_rows_equal_the_earlier_formulas(rows):
+    _assert_as_earlier(bloch_table(_RING, _POLES), _RING[rows])
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_pole_rings_equal_the_earlier_formulas(pole):
+    for spec in _ring_models(0.0, pole):   # every row on the pole
+        _assert_as_earlier(spec, _RING)
+
+
+def _threshold_table(*norms):
+    """A table whose largest |n| is 2 and whose other rows are (0, 0, c) for
+    the given c: the gate's threshold sits at |n| = TOL.degeneracy."""
+    vectors = [[0.0, 2.0, 0.0]] + [[0.0, 0.0, c] for c in norms]
+    return bloch_table(_RING[:len(vectors)], vectors), _RING[:len(vectors)]
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-12, 1.0, 1 + 1e-12, 1 - 1e-3, 1 + 1e-3])
+def test_gate_threshold_rows_equal_the_earlier_formulas(factor):
+    # 2|n| < TOL.degeneracy * 2 closes the gap just below |n| = TOL.degeneracy
+    spec, ks = _threshold_table(0.5, TOL.degeneracy * factor, -TOL.degeneracy * factor)
+    _assert_as_earlier(spec, ks)
+    _assert_as_earlier(spec, ks[::-1])
+
+
+@pytest.mark.parametrize("ks", [[[1.0, 0.0]], [[1e5, 0.0], [3e9, 1e9]], [[1e10, 0.0], [1.0, 1.0]]])
+def test_gate_past_the_model_scale_equals_the_earlier_formulas(ks):
+    # a subnormal scale: |n| = 1e-310 |k| is past the scale for any |k| > 1,
+    # and past TOL.zero_vector only for |k| above about 1e10
+    _assert_as_earlier(rhombohedral(1, 1e-310), np.array(ks))
+
+
+def _patch_row(monkeypatch, kind, row, vector):
+    """Make a kind's Bloch map return `vector` at the stacked `row`, where the
+    evaluation has that row."""
+    real = models._KINDS[kind]
+
+    def patched(spec, ks):
+        n = real.bloch(spec, ks)
+        if row < len(n):
+            n[row] = vector
+        return n
+
+    monkeypatch.setitem(models._KINDS, kind, dataclasses.replace(real, bloch=patched))
+
+
+@pytest.mark.parametrize("spec", [ssh(0.5, 1.0), dirac(1.0)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("row", [0, 3, 5, 9])   # 5 rows at ks: 0 and 3 are centres
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 2])
+def test_non_finite_rows_equal_the_earlier_formulas(monkeypatch, spec, row, bad, column):
+    vector = np.array([0.3, -0.2, 0.4])
+    vector[column] = bad
+    _patch_row(monkeypatch, spec.kind, row, vector)
+    ks = _k_points(spec, 5)
+    # inf / inf rows make NaN unit vectors; the earlier metric also formed
+    # them, with a warning, at the centre rows it did not difference
+    with np.errstate(invalid="ignore"):
+        _assert_as_earlier(spec, ks)
 
 
 # --- model_from_json ---
