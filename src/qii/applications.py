@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-from .geometry import Loop, aggregate_summary, segment_distance, summarize
+from .geometry import Loop, _scalars, loop_berry_phase, segment_distance
 from .models import (_BAND_INDEX, ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors,
                      bloch, bz_grid, fourier_bloch)
 from .loops import split_self_intersections
@@ -108,22 +108,23 @@ def _omega1(spec: ModelSpec, band: str, n_k: int):
 
 
 def _band_chain(spec: ModelSpec, band: str, n_k: int):
-    """(wannier_omega1, summarize(bz_loop(...)), |n(k)| on the loop's momenta)
-    from one Bloch evaluation: the metric's stacked k rows are the loop's momenta."""
+    """(wannier_omega1, (d_fs, gamma_b) of bz_loop(...), |n(k)| on the loop's
+    momenta) from one Bloch evaluation: the metric's stacked k rows are the
+    loop's momenta, and the scalars come from the overlap pass of Loop's gate."""
     omega1, vec, norm, rho = _omega1(spec, band, n_k)
-    states = _spinors(vec[:n_k], norm[:n_k], rho[:n_k], band)
-    return omega1, summarize(Loop(states)), norm[:n_k]
+    loop = Loop(_spinors(vec[:n_k], norm[:n_k], rho[:n_k], band))
+    return omega1, _scalars(loop.states, loop._overlaps), norm[:n_k]
 
 
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
                         n_k: int = 256) -> BoundChain:
     """Chain Omega_1 >= (a d / 2 pi)^2 >= (a gamma / 2 pi)^2 for a 1D band."""
-    omega1, s, _ = _band_chain(spec, band, n_k)
+    omega1, (d_fs, gamma_b), _ = _band_chain(spec, band, n_k)
     a = spec.a
     return BoundChain(entries=(
         ("omega_1", omega1),
-        ("(a*d_fs/2pi)^2", (a * s.d_fs / (2.0 * np.pi)) ** 2),
-        ("(a*gamma_b/2pi)^2", (a * s.gamma_b / (2.0 * np.pi)) ** 2),
+        ("(a*d_fs/2pi)^2", (a * d_fs / (2.0 * np.pi)) ** 2),
+        ("(a*gamma_b/2pi)^2", (a * gamma_b / (2.0 * np.pi)) ** 2),
     ), unit="length^2", notes=(spec.describe(),))
 
 
@@ -255,7 +256,7 @@ def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0
     psi0 = vecs[:, 1]
     tau = 2.0 * np.pi / omega_d
     traj = evolve(h_of_t, psi0, tau, steps)
-    gamma = summarize(Loop(traj.states[:-1])).gamma_b
+    gamma = loop_berry_phase(Loop(traj.states[:-1]))
     return traj, gamma, speed_limit_report(traj, gamma)
 
 
@@ -277,12 +278,15 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
     trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
     tangential_int = np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff
-    agg = aggregate_summary([summarize(p) for p in split_self_intersections(loop)])
+    # distances and unreduced phases add over sub-loops, as in aggregate_summary
+    parts = [_scalars(p.states, p._overlaps) for p in split_self_intersections(loop)]
+    d_fs = sum(d for d, _ in parts)
+    gamma_total = sum(g for _, g in parts)
     return BoundChain(entries=(
         ("int_FS Tr[g] dsigma", float(trace_int)),
         ("int g_ll dk_l", float(tangential_int)),
-        ("d_fs^2/l_fs", agg.d_fs**2 / l_fs),
-        ("gamma_b^2/l_fs", agg.gamma_total**2 / l_fs),
+        ("d_fs^2/l_fs", d_fs**2 / l_fs),
+        ("gamma_b^2/l_fs", gamma_total**2 / l_fs),
     ), unit="length", notes=(spec.describe(), f"E_F={e_f}"))
 
 
@@ -304,7 +308,7 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
         return BoundChain(entries=(
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
-    omega1, s, upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
+    omega1, (d_fs, gamma_b), upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
     if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
     integral = omega1 * 2.0 * np.pi / spec.a
@@ -313,8 +317,8 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     pref = spec.a * factor / (2.0 * np.pi**3 * m_bands)
     return BoundChain(entries=(
         ("D_s", d_s),
-        ("d_fs^2 bound", pref * s.d_fs**2),
-        ("gamma_b^2 bound", pref * s.gamma_b**2),
+        ("d_fs^2 bound", pref * d_fs**2),
+        ("gamma_b^2 bound", pref * gamma_b**2),
     ), unit="energy*length", notes=tuple(notes))
 
 

@@ -58,7 +58,7 @@ class ModelSpec:
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items())
-                         if np.isscalar(v))
+                         if not isinstance(v, np.ndarray))   # fourier_bloch, table
         return f"{self.kind}({inner})"
 
 
@@ -224,12 +224,27 @@ def model_from_json(obj) -> ModelSpec:
 
 # ---------------------------------------------------------------- k arrays
 
+def _check_k_shape(spec: ModelSpec, ks: np.ndarray):
+    if ks.ndim != spec.dim_k or ks.shape[1:] not in ((), (2,)):
+        raise WrongDimension(f"{spec.dim_k}D model given k points of shape {ks.shape}")
+
+
 def bloch(spec: ModelSpec, ks) -> np.ndarray:
     """Bloch vectors n(k), shape (n, 3), of H(k) = n(k).sigma at ks of shape (n, dim_k)."""
     ks = np.asarray(ks, dtype=float)
-    if ks.ndim != spec.dim_k or ks.shape[1:] not in ((), (2,)):
-        raise WrongDimension(f"{spec.dim_k}D model given k points of shape {ks.shape}")
+    _check_k_shape(spec, ks)
     return _KINDS[spec.kind].bloch(spec, ks)
+
+
+def _stencil_offsets(dim_k: int) -> np.ndarray:
+    """Offsets of the shifted blocks +h e_1, -h e_1 [, +h e_2, -h e_2]
+    (h = TOL.fd_step), one (2 dim_k, 1) column per k component; each is the
+    product sign * h e_i, so the 2D zeros keep their signs."""
+    blocks = ((np.eye(dim_k) * TOL.fd_step)[:, None] * np.array([[1.0], [-1.0]]))
+    return blocks.reshape(2 * dim_k, dim_k).T[:, :, None]
+
+
+_STENCIL = {1: _stencil_offsets(1), 2: _stencil_offsets(2)}
 
 
 def _gated_bloch(spec: ModelSpec, ks, stencil: bool = False):
@@ -238,8 +253,15 @@ def _gated_bloch(spec: ModelSpec, ks, stencil: bool = False):
     first closing in that order is named, one at ks as band_states does."""
     ks = np.asarray(ks, dtype=float)
     if stencil:
-        steps = [TOL.fd_step] if spec.dim_k == 1 else list(np.eye(2) * TOL.fd_step)
-        ks = np.concatenate([ks] + [np.add(ks, sign * e) for e in steps for sign in (1, -1)])
+        _check_k_shape(spec, ks)   # the caller's shape, before the stack hides it
+        cols = ks.reshape(len(ks), spec.dim_k)   # a view
+        rows = np.empty((1 + 2 * spec.dim_k,) + cols.shape)
+        rows[0] = cols
+        # one add per k component: a broadcast add over (n, 2) rows would
+        # run its inner loop over two elements at a time
+        for j, offsets in enumerate(_STENCIL[spec.dim_k]):
+            np.add(cols[:, j], offsets, out=rows[1:, :, j])
+        ks = rows.reshape((-1,) + ks.shape[1:])
     n = bloch(spec, ks)
     rho = np.hypot(n[:, 0], n[:, 1])
     norm = np.hypot(rho, n[:, 2])   # eigenvalues -+|n|, gap 2|n|

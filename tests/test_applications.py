@@ -497,10 +497,10 @@ def test_chains_evaluate_the_bloch_vectors_once(monkeypatch):
             assert calls == expected
 
 
-def test_chains_make_one_overlap_pass_per_summarized_loop(monkeypatch):
-    # Loop's segment gate makes the full-resolution pass and summarize
-    # reuses it; only the half-resolution estimate makes one of its own
-    sizes = []
+def test_chains_make_one_overlap_pass_per_loop_and_never_summarize(monkeypatch):
+    # Loop's segment gate makes the one pass each chain reads (d_fs, gamma_b)
+    # from; no chain forms summarize's half-resolution estimate
+    sizes, summaries = [], []
     real = geometry._overlap_pass
 
     def spy(states):
@@ -508,17 +508,22 @@ def test_chains_make_one_overlap_pass_per_summarized_loop(monkeypatch):
         return real(states)
 
     monkeypatch.setattr(geometry, "_overlap_pass", spy)
+    for module in (geometry, applications):   # the module's own name, or a from-import
+        for name in ("summarize", "aggregate_summary"):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(geometry, name):
+                                summaries.append(1) or f(*a), raising=False)
     spec = random_gapped_bloch_spec(5)
     for chain, expected in (
-            (lambda: wannier_bound_chain(spec, n_k=96), [96, 48]),
-            (lambda: superfluid_weight_1d(spec, 1.0, 0.5, n_k=96), [96, 48]),
-            (lambda: eph_bound_chain(dirac(1.0), 1.0, 256), [256, 128]),
-            # the gates of the whole Fermi loop and its two sub-loops, then
-            # the halves of the sub-loops
-            (lambda: eph_bound_chain(rhombohedral(2), 1.0, 256), [256, 128, 128, 64, 64])):
+            (lambda: wannier_bound_chain(spec, n_k=96), [96]),
+            (lambda: superfluid_weight_1d(spec, 1.0, 0.5, n_k=96), [96]),
+            (lambda: eph_bound_chain(dirac(1.0), 1.0, 256), [256]),
+            # the gates of the whole Fermi loop and of its two sub-loops
+            (lambda: eph_bound_chain(rhombohedral(2), 1.0, 256), [256, 128, 128]),
+            (lambda: adiabatic_cone_demo(np.pi / 3, ratio=50.0, steps=2000), [2000])):
         sizes.clear()
         chain()
         assert sizes == expected
+    assert summaries == []
 
 
 def test_band_paths_never_call_eigh(monkeypatch):

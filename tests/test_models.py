@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -310,6 +311,22 @@ def test_bloch_rejects_wrong_k_shapes():
         bloch(ssh(1, 2), np.zeros((4, 2)))
     with pytest.raises(WrongDimension):
         bloch(dirac(1.0), np.zeros(4))
+
+
+@pytest.mark.parametrize("spec, shape", [(dirac(1.0), (4,)), (ssh(1, 2), (4, 2))],
+                         ids=["2D-given-1D", "1D-given-2D"])
+def test_metric_grid_names_the_caller_s_k_shape(spec, shape):
+    # the shape rule runs before the stencil is stacked, so the error names
+    # the k array the caller passed, not the stacked one
+    with pytest.raises(WrongDimension, match=re.escape(f"k points of shape {shape}")):
+        metric_grid(spec, "lower", np.ones(shape))
+
+
+def test_describe_names_the_scalar_parameters_of_every_kind():
+    # the array parameters of fourier_bloch and table are left out
+    assert [s.describe() for s in EVERY_KIND] == [
+        "ssh(v=0.7,w=1.3)", "creutz(t=1.2)", "fourier_bloch()", "table()",
+        "rhombohedral(n_layers=3,scale=0.7)", "dirac(v_f=1.5)"]
 
 
 # --- k-array paths against the per-k oracles ---
