@@ -328,8 +328,11 @@ def random_gapped_bloch_spec(rng, n_harmonics: int = 2, gap_ratio: float = 0.25,
 
     Draws Bloch-vector Fourier coefficients until min_k |n(k)| exceeds
     gap_ratio * max_k |n(k)| on a dense grid; deterministic given the
-    generator state.
+    generator state.  gap_ratio must lie in [0, 1): a ratio of 1 or more
+    asks for a constant |n(k)|, which no draw gives, so it would draw forever.
     """
+    if not 0.0 <= gap_ratio < 1.0:
+        raise OutOfRange(f"gap ratio must lie in [0, 1), got {gap_ratio}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     ks = np.linspace(0.0, 2.0 * np.pi / a, 256, endpoint=False)

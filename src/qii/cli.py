@@ -33,7 +33,7 @@ from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_a
                     spherical_polygon, split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy, check_fermi_model,
                      fermi_surface_loop, model_from_json)
-from .search import RECHECK_FACTOR, SearchConfig, minimize_margin
+from .search import SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
 
 
@@ -110,7 +110,7 @@ def _verify_rows(params):
         if strong:
             parts = split_self_intersections(loop)
             subs = [s] if parts[0] is loop else map(summarize, parts)
-            strongs = [strong_qii(p, conjecture=(m > 2 or len(parts) > 1)) for p in subs]
+            strongs = [strong_qii(p, conjecture=m > 2) for p in subs]
             row += [min(r.margin for r in strongs), len(parts)]
             reports += strongs
         row.violated = any(r.violated for r in reports)
@@ -238,9 +238,9 @@ def _add_model_flags(parser):
 
 def _subloop_reports(loop, summaries):
     """(weak, strong) reports of the sub-loop summaries of `loop`, and whether any is
-    violated.  The strong QII is a theorem only for a two-band loop that did not split."""
-    conjecture = loop.dim > 2 or len(summaries) > 1
-    reports = [(weak_qii(s), strong_qii(s, conjecture=conjecture)) for s in summaries]
+    violated.  The strong QII is a theorem for every two-band loop, and a split
+    sub-loop of one is a two-band loop, so only M > 2 makes it a conjecture."""
+    reports = [(weak_qii(s), strong_qii(s, conjecture=loop.dim > 2)) for s in summaries]
     return reports, any(w.violated or s.violated for w, s in reports)
 
 
@@ -355,10 +355,9 @@ def _cmd_search(args) -> int:
     print(f"search: m={args.m} seeds={seeds} best_margin="
           f"{result.best_margin:.3e} evals={total_evals} status={result.status}")
     if result.violation:
-        loop = fourier_loop(result.best_spec.with_resolution(RECHECK_FACTOR * cfg.n))
-        save_loop(out / "counterexample_loop.csv", loop, generator="search",
-                  parameters=cfg.to_dict(), seed=cfg.seed)
-        print(f"search: VIOLATION candidate persisted at {RECHECK_FACTOR}n; serialized to "
+        save_loop(out / "counterexample_loop.csv", fourier_loop(result.best_spec),
+                  generator="search", parameters=cfg.to_dict(), seed=cfg.seed)
+        print(f"search: VIOLATION at n={cfg.n}; serialized to "
               f"{out / 'counterexample_loop.csv'}", file=sys.stderr)
         return 2
     return 0

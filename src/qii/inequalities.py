@@ -1,14 +1,17 @@
 """Classical and quantum isoperimetric inequality checks with margin reports.
 
-Margins are oriented so that a feasible instance has margin >= 0; a
-report is flagged saturated when |margin| falls within its tolerance.
-Saturation tolerances scale with the discretization quality of the loop
-summary: tol(n) = max(floor, 10 * convergence_est), because chord sums
-under-estimate lengths and a fixed tiny tolerance would spuriously fail
-coarse loops.
+Margins are oriented so that a feasible instance has margin >= 0, and each
+report carries two thresholds:
 
-``IneqReport.violated`` (margin < -tol; exactly -tol passes) is the one
-violation predicate: every CLI verdict on an inequality reads it.
+- ``tol``, two-sided: ``saturated`` is |margin| <= tol.  For a loop it is
+  max(floor, 10 * convergence_est), since saturation compares with the
+  smooth loop, whose length the chord sums under-estimate.
+- ``bound``, one-sided: ``IneqReport.violated`` (margin < -bound) is the
+  one violation predicate, and every exit-2 verdict reads it.  A loop's
+  chord sums are exact for its geodesic polygon (Samuel and Bhandari, PRL
+  60, 2339 (1988); Mukunda and Simon, Ann. Phys. 228, 205 (1993)), and the
+  QII hold for polygons too, so loop reports gate at `_rounding_bound`.
+  The plane and sphere checks gate at tol.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +27,8 @@ __all__ = [
     "weak_qii", "aggregate_subloops",
 ]
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class IneqReport:
@@ -35,19 +40,43 @@ class IneqReport:
     margin: float
     saturated: bool
     tol: float
+    bound: float
     inputs: dict = field(default_factory=dict)
 
     @property
     def violated(self) -> bool:
-        """True when the margin falls below -tol."""
-        return self.margin < -self.tol
+        """True when the margin falls below -bound."""
+        return self.margin < -self.bound
 
 
-def _report(name, lhs, rhs, tol, inputs, margin=None) -> IneqReport:
+def _report(name, lhs, rhs, tol, inputs, margin=None, bound=None) -> IneqReport:
     margin = lhs - rhs if margin is None else margin
     return IneqReport(name=name, lhs=float(lhs), rhs=float(rhs),
                       margin=float(margin), saturated=bool(abs(margin) <= tol),
-                      tol=float(tol), inputs=inputs)
+                      tol=float(tol), bound=float(tol if bound is None else bound),
+                      inputs=inputs)
+
+
+def _rounding_bound(n: int, d: float) -> float:
+    """Rounding bound 64 n eps (1 + d)^2 on the weak and strong margins of an
+    n-segment polygon of Fubini-Study length d.
+
+    d is a sum of n terms arctan2(|residual|, |<a|b>|), and the phase a sum
+    of n terms arctan2(Im, Re) of the overlaps.  For overlaps of modulus of
+    order one, each term carries a few ulps from the overlap and residual
+    sums, the normalization of the rows and arctan2 itself: at most c = 10
+    eps.  Adding the n terms costs at most n eps times their absolute sum:
+    d for the distance and, for states sampled in a smooth gauge, of order
+    1 + d for the phase.  So d and gamma each err by at most c n eps (1 + d).
+
+    The strong margin (|gamma| - pi)^2 + d^2 - pi^2 is quadratic in d, and
+    errs by about 2 d dd + 2 ||gamma| - pi| dgamma <= 2 pi (1 + d) c n eps
+    (1 + d): the 2 d dd term needs the square.  The weak margin d - gamma
+    errs by at most 2 c n eps (1 + d), inside the same bound.  Hence the
+    constant 64 >= 2 pi c.  A polygon margin below -bound is a
+    counterexample, not rounding.
+    """
+    return 64.0 * _EPS * n * (1.0 + d) ** 2
 
 
 def tol_for(summary: LoopSummary, floor: float = TOL.saturation_floor) -> float:
@@ -90,14 +119,15 @@ def _strong_margin(d_fs: float, gamma_b: float) -> float:
 def strong_qii(summary: LoopSummary, conjecture: bool = False) -> IneqReport:
     """Strong quantum isoperimetric inequality (|gamma|-pi)^2 + d^2 >= pi^2.
 
-    Proven for simple two-band loops; pass conjecture=True for M > 2 or
-    post-split inputs, which flags the report instead of erroring.
+    A theorem for every two-band loop: the margin of a loop with crossings
+    is at least the sum of the margins of its simple parts.  Pass
+    conjecture=True for M > 2, which the report records in its inputs.
     """
     margin = _strong_margin(summary.d_fs, summary.gamma_b)
     inputs = {"d_fs": summary.d_fs, "gamma_b": summary.gamma_b,
               "n_segments": summary.n_segments, "conjecture": conjecture}
     return _report("strong_qii", margin + np.pi**2, np.pi**2, tol_for(summary),
-                   inputs, margin)
+                   inputs, margin, _rounding_bound(summary.n_segments, summary.d_fs))
 
 
 def weak_qii(summary: LoopSummary) -> IneqReport:
@@ -110,8 +140,8 @@ def weak_qii(summary: LoopSummary) -> IneqReport:
     inputs = {"d_fs": summary.d_fs, "gamma_b": summary.gamma_b,
               "n_segments": summary.n_segments,
               "margin_abs": summary.d_fs - abs(summary.gamma_b)}
-    return _report("weak_qii", summary.d_fs, summary.gamma_b,
-                   tol_for(summary), inputs)
+    return _report("weak_qii", summary.d_fs, summary.gamma_b, tol_for(summary),
+                   inputs, bound=_rounding_bound(summary.n_segments, summary.d_fs))
 
 
 def aggregate_subloops(summaries: list[LoopSummary]) -> IneqReport:
@@ -122,6 +152,6 @@ def aggregate_subloops(summaries: list[LoopSummary]) -> IneqReport:
     inputs = {"sum_d_fs": agg.d_fs, "gamma_total": agg.gamma_total,
               "n_subloops": len(summaries),
               "subloops": [(s.d_fs, s.gamma_b) for s in summaries]}
-    return _report("aggregate", agg.d_fs, agg.gamma_total,
-                   tol_for(agg), inputs)
+    return _report("aggregate", agg.d_fs, agg.gamma_total, tol_for(agg),
+                   inputs, bound=_rounding_bound(agg.n_segments, agg.d_fs))
 

@@ -169,9 +169,6 @@ class FourierLoopSpec:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def with_resolution(self, n: int) -> "FourierLoopSpec":
-        return FourierLoopSpec(self.m_dim, self.coeffs, self.k, n)
-
 
 @lru_cache(maxsize=32)
 def _fourier_basis(n: int, k: int) -> np.ndarray:

@@ -4,10 +4,11 @@ The objective is the minimum strong-QII margin over the simple sub-loops
 of a Fourier-parametrized loop; a persistent negative value would be a
 counterexample to the M > 2 conjecture.  Optimization is a multi-restart
 Nelder-Mead simplex (derivative-free because |gamma| and the splitting
-step are non-smooth), deterministic for a given seed.  Chord sums
-under-estimate distances, which biases margins slightly negative at
-coarse resolution, so any candidate below zero is re-evaluated at
-RECHECK_FACTOR times the resolution before being reported.
+step are non-smooth), deterministic for a given seed.  The margin at n
+is exact for the geodesic polygon through the samples, so a best margin
+below zero is a violation when the strong report of one of its
+sub-loops says so (`IneqReport.violated`: a margin below the polygon's
+rounding bound), with no finer resampling.
 """
 
 from dataclasses import dataclass
@@ -16,10 +17,12 @@ import numpy as np
 
 from .config import TOL
 from .errors import DegenerateSpec, OutOfRange
-from .geometry import _overlap_pass, _scalars, loop_berry_phase, principal_phase
-from .inequalities import _strong_margin
-from .loops import (FourierLoopSpec, _split_states, bloch_circle,
-                    check_fourier_shape, check_seed, fourier_states, perturb_circle)
+from .geometry import (_overlap_pass, _scalars, loop_berry_phase, principal_phase,
+                       summarize)
+from .inequalities import _strong_margin, strong_qii
+from .loops import (FourierLoopSpec, _split_states, bloch_circle, check_fourier_shape,
+                    check_seed, fourier_loop, fourier_states, perturb_circle,
+                    split_self_intersections)
 
 __all__ = [
     "SearchConfig", "SearchResult", "qii_objective", "minimize_margin",
@@ -27,7 +30,6 @@ __all__ = [
 ]
 
 _PENALTY = 100.0
-RECHECK_FACTOR = 4   # a best margin below zero is re-evaluated at this many times n
 
 
 @dataclass(frozen=True)
@@ -143,10 +145,11 @@ def _nelder_mead(fn, x0: np.ndarray, step: float, max_evals: int):
 def minimize_margin(cfg: SearchConfig) -> SearchResult:
     """Multi-restart simplex descent on the strong-QII margin.
 
-    Deterministic for a given config.  A best margin below zero at the
-    working resolution is re-evaluated at RECHECK_FACTOR * n; only a
-    persistent value below the violation tolerance is flagged (and would
-    constitute a counterexample to the conjecture).
+    Deterministic for a given config, and every evaluation samples at
+    cfg.n.  The best margin is the margin at n.  Only when it is below zero
+    are the best spec's sub-loop strong reports built; the result is a
+    violation (a counterexample to the conjecture) when one of them is
+    violated.
     """
     evals = 0
     history = []
@@ -184,12 +187,13 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     real[:], imag[:] = best_x[:half], best_x[half:]
     best_spec = FourierLoopSpec(cfg.m_dim, coeffs, cfg.k, cfg.n)
     margin_at_n = float(best_f)
-    best_margin = (qii_objective(best_spec.with_resolution(RECHECK_FACTOR * cfg.n))
-                   if margin_at_n < 0.0 else margin_at_n)
     return SearchResult(
-        best_margin=best_margin, best_spec=best_spec, evals=evals, history=tuple(history),
+        best_margin=margin_at_n, best_spec=best_spec, evals=evals, history=tuple(history),
         status="budget_exhausted" if evals >= cfg.budget else "completed",
-        violation=bool(best_margin < -TOL.violation), margin_at_n=margin_at_n)
+        violation=margin_at_n < 0.0 and any(
+            strong_qii(summarize(part), conjecture=cfg.m_dim > 2).violated
+            for part in split_self_intersections(fourier_loop(best_spec))),
+        margin_at_n=margin_at_n)
 
 
 def extremality_scan(theta: float, modes, eps_grid, n: int = 8192) -> dict:

@@ -256,6 +256,20 @@ def test_random_model_chains_monotone():
         assert schain.is_monotone(1e-6)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.5, -0.1, np.nan, np.inf])
+def test_random_model_rejects_a_gap_ratio_outside_unit_interval(ratio):
+    # min |n| >= ratio * max |n| never holds at ratio >= 1: the draw loop
+    # would not end.  The rule is checked before any draw.
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(OutOfRange, match="gap ratio"):
+        random_gapped_bloch_spec(rng, gap_ratio=ratio)
+    assert rng.bit_generator.state == state
+    ks = np.linspace(0.0, 2.0 * np.pi, 64)
+    np.testing.assert_array_equal(models.bloch(random_gapped_bloch_spec(rng), ks),
+                                  models.bloch(random_gapped_bloch_spec(3, gap_ratio=0.25), ks))
+
+
 # --- chains against the per-k oracles ---
 
 def _oracle_wannier(spec, n_k):

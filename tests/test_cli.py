@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 import warnings
@@ -72,11 +73,11 @@ def test_weak_verify_makes_two_overlap_passes_a_row(monkeypatch):
 
 @pytest.mark.parametrize("report", ["weak_qii", "strong_qii"])
 def test_verify_gates_each_report_at_its_own_tol(tmp_path, monkeypatch, report):
-    # the verdict reads every report's own tol: 1e-9 here, far inside the
-    # fixed 1e-6 floor and the whole loop's 10 * convergence_est
+    # the verdict reads every report's own bound: 1e-9 here, far inside the
+    # fixed 1e-6 floor of tol and the whole loop's 10 * convergence_est
     real = getattr(cli, report)
     monkeypatch.setattr(cli, report, lambda summary, **kwargs: dataclasses.replace(
-        real(summary, **kwargs), tol=1e-9, margin=-2e-9))
+        real(summary, **kwargs), bound=1e-9, margin=-2e-9))
     out = tmp_path / "run"
     assert main(["verify", "--strong", "--m", "3", "--loops", "6", "--n", "256",
                  "--out", str(out)]) == 2
@@ -113,6 +114,20 @@ def test_verify_reproducible(tmp_path):
     main(["verify", "--m", "3", "--loops", "12", "--n", "256", "--seed", "5",
           "--out", str(b)])
     assert (a / "margins.csv").read_text() == (b / "margins.csv").read_text()
+
+
+# sha256 of two seeded output files: the verdict rules decide exit codes only,
+# and may not move a written value
+@pytest.mark.parametrize("name, argv, digest", [
+    ("margins.csv", ["verify", "--strong", "--m", "2", "--loops", "20", "--n", "256",
+                     "--seed", "0"],
+     "1eb4ef5a3ac79f2cb1fa36af26fe571c9a2bd28fc1d3fb1d1424767dd2ec2559"),
+    ("models.csv", ["models", "--model", "rhombohedral", "--layers", "3"],
+     "8bf7a41d5a0d6f6c2019b5c3887ff05ca1f1a0f4f9f244b1d0b4a8241ae18816"),
+], ids=["verify", "models"])
+def test_output_bytes_pinned(tmp_path, name, argv, digest):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_verify_workers_match_serial(tmp_path, monkeypatch):
@@ -351,7 +366,8 @@ def test_search_cli_violation_discovery_path(tmp_path, monkeypatch):
     code = main(["search", "--m", "2", "--k", "1", "--n", "64", "--budget",
                  "200", "--restarts", "1", "--out", str(out)])
     assert code == 2
-    assert (out / "counterexample_loop.csv").exists()
+    loop, _ = load_loop(out / "counterexample_loop.csv")
+    assert loop.n == 64   # written at the search's own resolution
     record = json.loads((out / "run.json").read_text())
     assert record["violation"] is True
 
@@ -417,9 +433,9 @@ def test_violated_report_exits_2(tmp_path, monkeypatch, capsys, make_argv, repor
     assert main(argv) == 0
     real = getattr(cli, report)
 
-    def violated(summary, **kwargs):  # the margin just past -tol
+    def violated(summary, **kwargs):  # the margin just past -bound
         rep = real(summary, **kwargs)
-        return dataclasses.replace(rep, margin=np.nextafter(-rep.tol, -np.inf))
+        return dataclasses.replace(rep, margin=np.nextafter(-rep.bound, -np.inf))
     monkeypatch.setattr(cli, report, violated)
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -2,15 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (cap_area, cap_perimeter, spherical_polygon_area,
                      spherical_polygon_perimeter)
-from qii.errors import AreaExceedsSphere, EmptyInput
-from qii.geometry import loop_berry_phase, loop_distance, summarize
-from qii.inequalities import (aggregate_subloops, plane_check, sphere_check,
-                              strong_qii, tol_for, weak_qii)
-from qii.loops import (bloch_circle, fourier_loop, great_circle,
-                       random_fourier_spec, split_self_intersections)
+from qii import geometry
+from qii.errors import AreaExceedsSphere, EmptyInput, IllConditionedSegment
+from qii.geometry import (Loop, aggregate_summary, loop_berry_phase, loop_distance,
+                          principal_phase, summarize)
+from qii.inequalities import (_rounding_bound, aggregate_subloops, plane_check,
+                              sphere_check, strong_qii, tol_for, weak_qii)
+from qii.loops import (bloch_circle, bloch_states, fourier_loop, fourier_states,
+                       great_circle, perturb_circle, random_fourier_spec,
+                       spherical_polygon, split_self_intersections)
+from qii.models import fermi_surface_loop, rhombohedral
 
 
 def _regular_polygon(n, radius=1.0):
@@ -178,7 +184,137 @@ def test_aggregate_empty():
     lambda: plane_check(2 * np.pi, np.pi),
 ], ids=["weak", "strong", "plane"])
 def test_violated_only_below_minus_tol(make):
+    # loop reports gate at the polygon's rounding bound, the plane at its tol
     rep = make()
+    if rep.name == "plane":
+        assert rep.bound == rep.tol
+    else:
+        s = rep.inputs
+        assert rep.bound == _rounding_bound(s["n_segments"], s["d_fs"]) < 1e-9 < rep.tol
     assert not rep.violated
-    assert not dataclasses.replace(rep, margin=-rep.tol).violated
-    assert dataclasses.replace(rep, margin=np.nextafter(-rep.tol, -np.inf)).violated
+    assert not dataclasses.replace(rep, margin=-rep.bound).violated
+    assert dataclasses.replace(rep, margin=np.nextafter(-rep.bound, -np.inf)).violated
+
+
+# --- polygon-exact strong margins ---
+
+def _assert_polygon_margins(loop):
+    """The strong QII holds for every geodesic polygon, so the strong margin
+    of `loop` and of each of its split parts is at least minus the rounding
+    bound.  Returns the least margin."""
+    least = np.inf
+    for part in [loop] + split_self_intersections(loop):
+        s = summarize(part)
+        margin = strong_qii(s).margin
+        assert margin >= -_rounding_bound(s.n_segments, s.d_fs), (margin, s)
+        least = min(least, margin)
+    return least
+
+
+_THETA = st.floats(0.05, np.pi - 0.05)
+_N = st.integers(8, 2048)
+
+
+@given(_THETA, _N)
+@settings(max_examples=150, deadline=None)
+def test_strong_margin_within_rounding_on_bloch_circles(theta, n):
+    _assert_polygon_margins(bloch_circle(theta, n))
+
+
+@given(_THETA, st.floats(0.0, 1.0), st.integers(1, 6), _N)
+@settings(max_examples=150, deadline=None)
+def test_strong_margin_within_rounding_on_perturbed_circles(theta, frac, mode, n):
+    eps = frac * 0.99 * min(theta, np.pi - theta)
+    _assert_polygon_margins(perturb_circle(theta, eps, mode, n))
+
+
+@given(st.integers(3, 24), _THETA, st.integers(1, 16))
+@settings(max_examples=150, deadline=None)
+def test_strong_margin_within_rounding_on_spherical_polygons(vertices, theta, per_edge):
+    _assert_polygon_margins(spherical_polygon(vertices, theta, per_edge))
+
+
+@given(st.integers(0, 3), st.integers(8, 512), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_strong_margin_within_rounding_on_two_band_fourier_loops(k, n, seed, scale):
+    # any n >= 8, also below the Fourier shape rule: a coarse sample is
+    # still a geodesic polygon, which the theorem covers
+    coeffs = random_fourier_spec(2, k, 8 * (k + 1), seed, scale=scale).coeffs
+    try:
+        loop = Loop(fourier_states(coeffs, n))
+    except IllConditionedSegment:
+        assume(False)
+    _assert_polygon_margins(loop)
+
+
+def test_strong_margin_within_rounding_on_great_circles():
+    # the saturating case: every margin is a rounding residue of zero
+    rng = np.random.default_rng(8)
+    for turns in (1, 2, 3, 5):
+        for n in (8 * turns, 64 * turns, 200 * turns):
+            least = _assert_polygon_margins(great_circle(rng.normal(size=3), n, turns=turns))
+            assert abs(least) < 1e-12
+
+
+@pytest.mark.parametrize("turns", [1, 2])
+def test_lowered_distance_term_fails_the_rounding_bound(monkeypatch, turns):
+    # a mutant that lowers d by 1e-10 (one chord term) on a great circle, or
+    # on the parts of a twice-wound one, at n = 256: the bound catches it,
+    # tol_for's 1e-6 floor would not
+    loop = great_circle([0.3, -0.2, 1.0], 256, turns=turns)
+    _assert_polygon_margins(loop)
+    distance = geometry._distance
+    monkeypatch.setattr(geometry, "_distance",
+                        lambda states, overlaps=None: distance(states, overlaps) - 1e-10)
+    with pytest.raises(AssertionError):
+        _assert_polygon_margins(loop)
+    for part in split_self_intersections(loop):
+        s = summarize(part)
+        rep = strong_qii(s)
+        assert rep.violated and -tol_for(s) <= rep.margin < -1e-10
+
+
+# --- crossings do not void the two-band theorem ---
+
+def _f(gamma):
+    """F(gamma) = |gamma| (2 pi - |gamma|) on the principal value: the strong
+    QII reads d^2 >= F(gamma)."""
+    g = abs(principal_phase(gamma))
+    return g * (2.0 * np.pi - g)
+
+
+def test_f_is_subadditive_on_random_phase_pairs():
+    rng = np.random.default_rng(17)
+    pairs = np.concatenate([rng.uniform(-3 * np.pi, 3 * np.pi, size=(2000, 2)),
+                            rng.uniform(-0.1, 0.1, size=(500, 2)),
+                            np.pi + rng.uniform(-0.1, 0.1, size=(500, 2))])
+    for a, b in pairs:
+        # slack: the rounding of F's own arithmetic, values up to pi^2
+        assert _f(a + b) <= _f(a) + _f(b) + 1e-13
+
+
+def _multi_turn_circle(theta, n, turns):
+    return Loop(bloch_states(theta, 2.0 * np.pi * turns * np.arange(n) / n))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: great_circle([0.2, 1.0, -0.4], 96, turns=3),
+    lambda: _multi_turn_circle(0.7, 120, 2),
+    lambda: _multi_turn_circle(2.2, 300, 5),
+    lambda: fermi_surface_loop(rhombohedral(2), 1.3, 256)[0],
+    lambda: fermi_surface_loop(rhombohedral(3), 0.8, 384)[0],
+    lambda: fermi_surface_loop(rhombohedral(5), 1.9, 640)[0],
+], ids=["great-x3", "circle-x2", "circle-x5", "rhombo-2", "rhombo-3", "rhombo-5"])
+def test_whole_margin_dominates_the_sum_of_part_margins(make):
+    # d = sum d_i and gamma = sum gamma_i mod 2 pi, so d^2 >= sum d_i^2 and,
+    # by subadditivity, F(gamma) <= sum F(gamma_i)
+    loop = make()
+    parts = split_self_intersections(loop)
+    assert len(parts) > 1
+    summaries = [summarize(p) for p in parts]
+    whole = aggregate_summary(summaries)
+    part_margins = sum(strong_qii(s).margin for s in summaries)
+    slack = _rounding_bound(whole.n_segments, whole.d_fs)
+    assert whole.d_fs**2 - _f(whole.gamma_total) >= part_margins - slack
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import list_nelder_mead
-from qii import search
+from qii import geometry, search
 from qii.config import TOL
 from qii.errors import BadResolution, DegenerateSpec, OutOfRange
 from qii.geometry import summarize
@@ -148,8 +148,7 @@ def test_search_samples_each_in_box_evaluation_once(monkeypatch):
     monkeypatch.setattr(search, "_nelder_mead", simplex)
     res = minimize_margin(cfg)
     assert len(in_box) == res.evals and 0 < sum(in_box) < res.evals
-    assert sampled[:sum(in_box)] == [cfg.n] * sum(in_box)
-    assert len(sampled) == sum(in_box) + (res.margin_at_n < 0.0)   # the recheck
+    assert sampled == [cfg.n] * sum(in_box)
 
 
 def test_search_evaluation_matches_a_fresh_spec(monkeypatch):
@@ -329,19 +328,36 @@ def test_search_reproducible():
     np.testing.assert_array_equal(a.best_spec.coeffs, b.best_spec.coeffs)
 
 
-def test_search_recheck_at_higher_resolution():
-    # coarse resolution biases circle margins negative; the 4n re-check
-    # must pull the reported value back above the violation tolerance
+def test_search_evaluates_only_at_n(monkeypatch):
+    # a polygon margin at n is exact: seed 3 ends at -3.55e-15, a rounding
+    # residue that is no violation, and nothing is sampled at another n
     cfg = SearchConfig(m_dim=2, k=1, n=64, budget=3000, restarts=3, seed=3)
+    sampled = []
+    real_states = search.fourier_states
+
+    def states(coeffs, n):
+        sampled.append(n)
+        return real_states(coeffs, n)
+
+    monkeypatch.setattr(search, "fourier_states", states)
     res = minimize_margin(cfg)
-    if res.margin_at_n < 0:
-        assert res.best_margin > res.margin_at_n
-    assert res.best_margin >= -TOL.violation
+    assert -1e-13 < res.margin_at_n < 0.0
+    assert not res.violation
+    assert res.best_margin == res.margin_at_n == qii_objective(res.best_spec)
+    assert sampled and set(sampled) == {cfg.n}
     assert res.status in {"budget_exhausted", "completed"}
-    # the reported margin re-evaluates the stored spec
-    re_eval = qii_objective(res.best_spec.with_resolution(search.RECHECK_FACTOR * cfg.n))
-    if res.margin_at_n < 0:
-        assert res.best_margin == pytest.approx(re_eval, abs=1e-12)
+
+
+def test_search_flags_a_margin_below_the_rounding_bound(monkeypatch):
+    # a mutant whose distances run 1e-10 short turns the same run's rounding
+    # residue into a margin near -2 pi 1e-10, far below the bound at n = 64
+    # and far above the old fixed tolerance of -1e-5
+    distance = geometry._distance
+    monkeypatch.setattr(geometry, "_distance",
+                        lambda states, overlaps=None: distance(states, overlaps) - 1e-10)
+    res = minimize_margin(SearchConfig(m_dim=2, k=1, n=64, budget=3000, restarts=3, seed=3))
+    assert -1e-5 < res.margin_at_n < -1e-10
+    assert res.violation and res.best_margin == res.margin_at_n
 
 
 # --- extremality_scan ---
