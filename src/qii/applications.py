@@ -13,10 +13,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-from .geometry import Loop, _scalars, loop_berry_phase, segment_distance
-from .models import (_BAND_INDEX, ModelSpec, _fermi_circle, _gated_bloch, _metric, _spinors,
-                     bloch, bz_grid, fourier_bloch)
-from .loops import split_self_intersections
+from .geometry import Loop, loop_berry_phase, loop_distance, segment_distance
+from .models import (ModelSpec, _fermi_circle, band_geometry, bloch, bz_grid, fourier_bloch,
+                     metric_grid)
+from .loops import check_seed, split_self_intersections
 
 __all__ = [
     "BoundChain", "Trajectory", "SpeedLimitReport", "wannier_omega1",
@@ -88,7 +88,8 @@ def wannier_omega1(spec: ModelSpec, band: str = "lower", n_k: int = 256) -> floa
     The periodic trapezoid rule reduces to the grid mean of Tr g; units
     are length^2.  The metric is the same for both bands.
     """
-    return _omega1(spec, band, n_k)[0]
+    check_1d_model(spec, "Wannier")
+    return _grid_mean(metric_grid(spec, band, bz_grid(spec, n_k)))
 
 
 def check_1d_model(spec: ModelSpec, chain: str):
@@ -97,29 +98,24 @@ def check_1d_model(spec: ModelSpec, chain: str):
         raise OutOfRange(f"the {chain} chain is implemented for 1D models")
 
 
-def _omega1(spec: ModelSpec, band: str, n_k: int):
-    """(wannier_omega1, n, |n|, hypot(n_x, n_y)) from one gated Bloch evaluation
-    on the Brillouin-zone grid stacked with its +- h shifts."""
-    check_1d_model(spec, "Wannier")
-    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
-    vec, norm, rho = _gated_bloch(spec, bz_grid(spec, n_k), stencil=True)
-    # the grid mean: np.mean's own sum, then one division
-    return float(np.add.reduce(_metric(vec, norm, 1)[:, 0, 0]) / n_k), vec, norm, rho
+def _grid_mean(g) -> float:
+    """Brillouin-zone mean of g_kk: np.mean's own sum, then one division."""
+    return float(np.add.reduce(g[:, 0, 0]) / len(g))
 
 
 def _band_chain(spec: ModelSpec, band: str, n_k: int):
-    """(wannier_omega1, (d_fs, gamma_b) of bz_loop(...), |n(k)| on the loop's
-    momenta) from one Bloch evaluation: the metric's stacked k rows are the
-    loop's momenta, and the scalars come from the overlap pass of Loop's gate."""
-    omega1, vec, norm, rho = _omega1(spec, band, n_k)
-    loop = Loop(_spinors(vec[:n_k], norm[:n_k], rho[:n_k], band))
-    return omega1, _scalars(loop.states, loop._overlaps), norm[:n_k]
+    """(wannier_omega1, d_fs, gamma_b of bz_loop(...), |n(k)| on its momenta) from
+    one band_geometry call; d and gamma read the overlap pass of Loop's gate."""
+    check_1d_model(spec, "Wannier")
+    states, g, norm = band_geometry(spec, bz_grid(spec, n_k), band)
+    loop = Loop(states)
+    return _grid_mean(g), loop_distance(loop), loop_berry_phase(loop), norm
 
 
 def wannier_bound_chain(spec: ModelSpec, band: str = "lower",
                         n_k: int = 256) -> BoundChain:
     """Chain Omega_1 >= (a d / 2 pi)^2 >= (a gamma / 2 pi)^2 for a 1D band."""
-    omega1, (d_fs, gamma_b), _ = _band_chain(spec, band, n_k)
+    omega1, d_fs, gamma_b, _ = _band_chain(spec, band, n_k)
     a = spec.a
     return BoundChain(entries=(
         ("omega_1", omega1),
@@ -186,10 +182,9 @@ def speed_limit_residual(traj: Trajectory) -> float:
     return float(np.abs(rate - mid).max())
 
 
-def speed_limit_report(traj: Trajectory, gamma_b: float,
-                       closure_tol: float = 1e-5) -> SpeedLimitReport:
-    """Check tau >= gamma_B / <Delta E> for a projectively closed trajectory."""
-    if segment_distance(traj.states[0], traj.states[-1]) > closure_tol:
+def speed_limit_report(traj: Trajectory, gamma_b: float) -> SpeedLimitReport:
+    """Check tau >= gamma_B / <Delta E> for a trajectory closed to within 1e-5."""
+    if segment_distance(traj.states[0], traj.states[-1]) > 1e-5:
         raise NotCyclic("trajectory endpoints differ projectively")
     tau = float(traj.times[-1] - traj.times[0])
     mean_de = float(np.trapezoid(traj.energies_var, traj.times) / tau)
@@ -215,7 +210,7 @@ def check_steps(steps: int):
 
 
 def check_period_ratio(ratio: float):
-    """The drive period of `adiabatic_cone_demo` is ratio / omega0 times 2 pi, ratio in (0, inf)."""
+    """The drive period of `adiabatic_cone_demo` is 2 pi ratio, ratio in (0, inf)."""
     if not 0.0 < ratio < np.inf:
         raise OutOfRange(f"period ratio must be positive and finite, got {ratio}")
 
@@ -228,27 +223,26 @@ def check_pairing(u: float, nu: float):
         raise OutOfRange(f"attraction U must be finite and positive, got {u}")
 
 
-def adiabatic_cone_demo(theta_c: float, omega0: float = 1.0, ratio: float = 50.0,
-                        steps: int = 20000):
+def adiabatic_cone_demo(theta_c: float, ratio: float = 50.0, steps: int = 20000):
     """Precessing-field cycle whose trajectory is exactly cyclic.
 
-    The field precesses at cone angle theta_c with period ratio/omega0
-    times 2 pi; starting from the co-rotating-frame eigenstate, the lab
-    trajectory traces a constant-polar-angle circle (clockwise, so the
-    Berry phase is positive) and returns to its initial ray after one
-    drive period.  Returns (trajectory, gamma_b, SpeedLimitReport).
+    With hbar omega0 = 1 the unit of energy, the field precesses at cone
+    angle theta_c with period 2 pi ratio / omega0.  From the co-rotating-frame
+    eigenstate, the lab trajectory traces a constant-polar-angle circle
+    (clockwise, so the Berry phase is positive) and returns to its initial
+    ray after one drive period.  Returns (trajectory, gamma_b, SpeedLimitReport).
     """
     check_cone_angle(theta_c)
     check_period_ratio(ratio)
-    omega_d = omega0 / ratio
+    omega_d = 1.0 / ratio
 
     def h_of_t(t):
         phi = -omega_d * t
         n = np.array([np.sin(theta_c) * np.cos(phi),
                       np.sin(theta_c) * np.sin(phi),
                       np.cos(theta_c)])
-        return 0.5 * omega0 * np.array([[n[2], n[0] - 1j * n[1]],
-                                        [n[0] + 1j * n[1], -n[2]]])
+        return 0.5 * np.array([[n[2], n[0] - 1j * n[1]],
+                               [n[0] + 1j * n[1], -n[2]]])
 
     # co-rotating-frame effective field; its upper eigenstate is cyclic
     h_eff = h_of_t(0.0) + 0.5 * omega_d * np.array([[1, 0], [0, -1]], dtype=complex)
@@ -271,17 +265,15 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     """
     k_f, directions = _fermi_circle(spec, e_f, n)
     n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
-    ks = k_f * directions   # the loop's momenta are the metric's centres
-    vec, norm, rho = _gated_bloch(spec, ks, stencil=True)
-    loop = Loop(_spinors(vec[:n_eff], norm[:n_eff], rho[:n_eff], "upper"))
-    g = _metric(vec, norm, 2)
+    states, g, _ = band_geometry(spec, k_f * directions, "upper")
+    loop = Loop(states)
     that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
     trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
     tangential_int = np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff
     # distances and unreduced phases add over sub-loops, as in aggregate_summary
-    parts = [_scalars(p.states, p._overlaps) for p in split_self_intersections(loop)]
-    d_fs = sum(d for d, _ in parts)
-    gamma_total = sum(g for _, g in parts)
+    parts = split_self_intersections(loop)
+    d_fs = sum(loop_distance(p) for p in parts)
+    gamma_total = sum(loop_berry_phase(p) for p in parts)
     return BoundChain(entries=(
         ("int_FS Tr[g] dsigma", float(trace_int)),
         ("int g_ll dk_l", float(tangential_int)),
@@ -308,7 +300,7 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
         return BoundChain(entries=(
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
-    omega1, (d_fs, gamma_b), upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
+    omega1, d_fs, gamma_b, upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
     if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
     integral = omega1 * 2.0 * np.pi / spec.a
@@ -322,25 +314,25 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     ), unit="energy*length", notes=tuple(notes))
 
 
-def random_gapped_bloch_spec(rng, n_harmonics: int = 2, gap_ratio: float = 0.25,
-                             a: float = 1.0) -> ModelSpec:
+def random_gapped_bloch_spec(rng, gap_ratio: float = 0.25) -> ModelSpec:
     """Random smooth two-band 1D model with a guaranteed direct gap.
 
-    Draws Bloch-vector Fourier coefficients until min_k |n(k)| exceeds
-    gap_ratio * max_k |n(k)| on a dense grid; deterministic given the
-    generator state.  gap_ratio must lie in [0, 1): a ratio of 1 or more
-    asks for a constant |n(k)|, which no draw gives, so it would draw forever.
+    Draws two harmonics of Bloch-vector Fourier coefficients (a = 1) until
+    min_k |n(k)| exceeds gap_ratio * max_k |n(k)| on a dense grid;
+    deterministic given the generator state.  gap_ratio must lie in [0, 1):
+    a ratio of 1 or more asks for a constant |n(k)|, which no draw gives.
     """
     if not 0.0 <= gap_ratio < 1.0:
         raise OutOfRange(f"gap ratio must lie in [0, 1), got {gap_ratio}")
     if isinstance(rng, (int, np.integer)):
+        check_seed(rng)
         rng = np.random.default_rng(rng)
-    ks = np.linspace(0.0, 2.0 * np.pi / a, 256, endpoint=False)
+    ks = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     while True:
         const = rng.normal(size=3)
-        cosc = rng.normal(size=(n_harmonics, 3)) / np.arange(1, n_harmonics + 1)[:, None]
-        sinc = rng.normal(size=(n_harmonics, 3)) / np.arange(1, n_harmonics + 1)[:, None]
-        spec = fourier_bloch(const, cosc, sinc, a)
+        cosc = rng.normal(size=(2, 3)) / np.arange(1, 3)[:, None]
+        sinc = rng.normal(size=(2, 3)) / np.arange(1, 3)[:, None]
+        spec = fourier_bloch(const, cosc, sinc)
         norms = np.linalg.norm(bloch(spec, ks), axis=1)
         if norms.min() >= gap_ratio * norms.max():
             return spec

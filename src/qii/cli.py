@@ -248,16 +248,16 @@ def _cmd_models(args) -> int:
     spec = _model_from_args(args)
     out = _prepare_outdir(args, "models")
     if spec.dim_k == 1:
-        loop = bz_loop(spec, args.band, args.nk)
-    else:
-        loop, _ = fermi_surface_loop(spec, args.ef, args.nk)
+        band, loop = args.band, bz_loop(spec, args.band, args.nk)
+    else:   # a Fermi surface at E_F > 0 lies in the upper band
+        band, (loop, _) = "upper", fermi_surface_loop(spec, args.ef, args.nk)
     summaries = [summarize(p) for p in split_self_intersections(loop)]
     reports, violated = _subloop_reports(loop, summaries)
-    rows = [[spec.describe(), args.band, i, s.n_segments, s.d_fs, s.gamma_b,
+    rows = [[spec.describe(), band, i, s.n_segments, s.d_fs, s.gamma_b,
              wrep.margin, srep.margin, int(srep.saturated)]
             for i, (s, (wrep, srep)) in enumerate(zip(summaries, reports))]
     agg = aggregate_summary(summaries)
-    rows.append([spec.describe(), args.band, "aggregate", agg.n_segments, agg.d_fs,
+    rows.append([spec.describe(), band, "aggregate", agg.n_segments, agg.d_fs,
                  agg.gamma_total, agg.d_fs - agg.gamma_total, "", ""])
     _write_csv(out / "models.csv",
                ["model", "band", "subloop", "n", "d_fs", "gamma_b",

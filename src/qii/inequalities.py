@@ -11,7 +11,7 @@ report carries two thresholds:
   chord sums are exact for its geodesic polygon (Samuel and Bhandari, PRL
   60, 2339 (1988); Mukunda and Simon, Ann. Phys. 228, 205 (1993)), and the
   QII hold for polygons too, so loop reports gate at `_rounding_bound`.
-  The plane and sphere checks gate at tol.
+  The plane and sphere checks gate at tol = TOL.saturation_floor.
 """
 
 from dataclasses import dataclass, field
@@ -79,25 +79,23 @@ def _rounding_bound(n: int, d: float) -> float:
     return 64.0 * _EPS * n * (1.0 + d) ** 2
 
 
-def tol_for(summary: LoopSummary, floor: float = TOL.saturation_floor) -> float:
-    """Discretization-aware saturation tolerance for a loop summary."""
-    return max(floor, 10.0 * summary.convergence_est)
+def tol_for(summary: LoopSummary) -> float:
+    """Saturation tolerance max(TOL.saturation_floor, 10 convergence_est) of a loop."""
+    return max(TOL.saturation_floor, 10.0 * summary.convergence_est)
 
 
-def plane_check(perimeter: float, area: float,
-                tol: float = TOL.saturation_floor) -> IneqReport:
-    """Planar isoperimetric inequality P^2 >= 4 pi A."""
+def plane_check(perimeter: float, area: float) -> IneqReport:
+    """Planar isoperimetric inequality P^2 >= 4 pi A, saturated at TOL.saturation_floor."""
     if perimeter < 0 or area < 0:
         raise OutOfRange("perimeter and area must be nonnegative")
     inputs = {"perimeter": perimeter, "area": area}
     if area > 0:
         inputs["quotient"] = perimeter**2 / (4.0 * np.pi * area)
-    return _report("plane", perimeter**2, 4.0 * np.pi * area, tol, inputs)
+    return _report("plane", perimeter**2, 4.0 * np.pi * area, TOL.saturation_floor, inputs)
 
 
-def sphere_check(perimeter: float, area: float, radius: float,
-                 tol: float = TOL.saturation_floor) -> IneqReport:
-    """Spherical isoperimetric inequality P^2 >= 4 pi A - A^2/R^2."""
+def sphere_check(perimeter: float, area: float, radius: float) -> IneqReport:
+    """Spherical isoperimetric inequality P^2 >= 4 pi A - A^2/R^2 (tol as plane_check)."""
     if radius <= 0:
         raise OutOfRange("sphere radius must be positive")
     if perimeter < 0 or area < 0:
@@ -108,7 +106,7 @@ def sphere_check(perimeter: float, area: float, radius: float,
     inputs = {"perimeter": perimeter, "area": area, "radius": radius}
     if rhs > 0:
         inputs["quotient"] = perimeter**2 / rhs
-    return _report("sphere", perimeter**2, rhs, tol, inputs)
+    return _report("sphere", perimeter**2, rhs, TOL.saturation_floor, inputs)
 
 
 def _strong_margin(d_fs: float, gamma_b: float) -> float:

@@ -464,9 +464,12 @@ def load_loop(path) -> tuple[Loop, dict]:
     data = np.array([[float(x) for x in row[1:]] for row in rows])
     if data.shape[1] % 2:
         raise WrongDimension(f"{path}: loop rows must hold re/im pairs")
+    bad = f"{path}: a row has zero or non-finite amplitudes"
+    if not np.isfinite(data).all():   # before inf * 1j makes a nan
+        raise ZeroVector(bad)
     states = data[:, 0::2] + 1j * data[:, 1::2]
     norms = np.linalg.norm(states, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms) & (norms > TOL.zero_vector)):
-        raise ZeroVector(f"{path}: a row has zero or non-finite amplitudes")
+        raise ZeroVector(bad)
     states = states / norms
     return Loop(states), meta

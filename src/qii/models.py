@@ -24,7 +24,7 @@ from .geometry import Chart, Loop
 __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
-    "band_state", "band_states", "band_chart", "metric_grid",
+    "band_state", "band_states", "band_chart", "metric_grid", "band_geometry",
     "bz_grid", "bz_loop", "check_fermi_energy", "check_fermi_model", "fermi_surface_loop",
     "dirac_metric",
 ]
@@ -335,12 +335,11 @@ def band_state(spec: ModelSpec, k, band: str = "lower") -> np.ndarray:
     return band_states(spec, np.asarray(k, dtype=float)[None], band)[0]
 
 
-def band_chart(spec: ModelSpec, band: str = "lower",
-               step: float = TOL.fd_step) -> Chart:
-    """Chart k -> band state, for geometric-tensor evaluation."""
+def band_chart(spec: ModelSpec, band: str = "lower") -> Chart:
+    """Chart k -> band state, for geometric-tensor evaluation at TOL.fd_step."""
     one_d = spec.dim_k == 1
     return Chart(map=lambda lam: band_state(spec, lam[0] if one_d else lam, band),
-                 d=spec.dim_k, step=step)
+                 d=spec.dim_k)
 
 
 def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
@@ -357,6 +356,16 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
     n, norm, _ = _gated_bloch(spec, ks, stencil=True)
     return _metric(n, norm, spec.dim_k)
+
+
+def band_geometry(spec: ModelSpec, ks, band: str = "lower"):
+    """(band_states, metric_grid, |n|) at ks from one gated Bloch evaluation
+    on the stacked k, k +- h e_i, the metric formed first; |n| is E_+(k)."""
+    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
+    n, norm, rho = _gated_bloch(spec, ks, stencil=True)
+    g = _metric(n, norm, spec.dim_k)
+    m = len(g)   # the centre rows
+    return _spinors(n[:m], norm[:m], rho[:m], band), g, norm[:m]
 
 
 def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:

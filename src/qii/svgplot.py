@@ -15,10 +15,10 @@ class Canvas:
         self.height = height
         self.parts = []
 
-    def line(self, x1, y1, x2, y2, stroke="#444", width=1.0):
+    def line(self, x1, y1, x2, y2):
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{stroke}" stroke-width="{width}"/>')
+            'stroke="#444" stroke-width="1.0"/>')
 
     def polyline(self, points, stroke="#1f6fb2", width=1.5):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
@@ -26,10 +26,10 @@ class Canvas:
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>')
 
-    def circle(self, cx, cy, r, fill="#1f6fb2", stroke="none"):
+    def circle(self, cx, cy, r, fill="#1f6fb2"):
         self.parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="{fill}" '
-            f'stroke="{stroke}"/>')
+            'stroke="none"/>')
 
     def text(self, x, y, s, size=12, anchor="start", fill="#222"):
         self.parts.append(
@@ -51,13 +51,13 @@ class Canvas:
 
 
 class _Frame:
-    """Data-to-pixel transform with simple axes and tick labels."""
+    """Data-to-pixel transform in a 50 px margin, with axes and five ticks each."""
 
-    def __init__(self, canvas, x_range, y_range, pad=50):
+    def __init__(self, canvas, x_range, y_range):
         self.canvas = canvas
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
-        self.pad = pad
+        self.pad = 50
 
     def px(self, x):
         w = self.canvas.width - 2 * self.pad
@@ -67,14 +67,14 @@ class _Frame:
         h = self.canvas.height - 2 * self.pad
         return self.canvas.height - self.pad - (y - self.y0) / (self.y1 - self.y0) * h
 
-    def axes(self, xlabel="", ylabel="", ticks=5):
+    def axes(self, xlabel="", ylabel=""):
         c, p = self.canvas, self.pad
         c.line(p, c.height - p, c.width - p, c.height - p)
         c.line(p, p, p, c.height - p)
-        for t in np.linspace(self.x0, self.x1, ticks):
+        for t in np.linspace(self.x0, self.x1, 5):
             c.line(self.px(t), c.height - p, self.px(t), c.height - p + 4)
             c.text(self.px(t), c.height - p + 16, f"{t:.3g}", size=10, anchor="middle")
-        for t in np.linspace(self.y0, self.y1, ticks):
+        for t in np.linspace(self.y0, self.y1, 5):
             c.line(p - 4, self.py(t), p, self.py(t))
             c.text(p - 6, self.py(t) + 3, f"{t:.3g}", size=10, anchor="end")
         if xlabel:

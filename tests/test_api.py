@@ -1,9 +1,11 @@
-"""Source guards on the package: every module imports only what it uses."""
+"""Source guards on the package: every module imports only what it uses, and
+the bound chains reach the band geometry through public calls only."""
 
 import ast
 from pathlib import Path
 
 import qii
+from qii import applications
 
 PACKAGE = Path(qii.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -45,3 +47,11 @@ def test_only_loops_calls_min_resolution():
                          (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
              for path in MODULES if path.name != "loops.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_applications_binds_no_band_geometry_private():
+    # models.band_geometry owns the stacked stencil rows and the two-band closed
+    # forms, geometry.loop_distance / loop_berry_phase the overlap pass
+    private = {"_gated_bloch", "_spinors", "_metric", "_BAND_INDEX", "_scalars"}
+    assert private & set(vars(applications)) == set()
+    assert "._overlaps" not in (PACKAGE / "applications.py").read_text(encoding="utf-8")

@@ -270,6 +270,13 @@ def test_random_model_rejects_a_gap_ratio_outside_unit_interval(ratio):
                                   models.bloch(random_gapped_bloch_spec(3, gap_ratio=0.25), ks))
 
 
+@pytest.mark.parametrize("seed", [-3, np.int64(-1)])
+def test_random_model_rejects_a_negative_seed(seed):
+    # the seed rule of random_fourier_spec, not numpy's untyped ValueError
+    with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+        random_gapped_bloch_spec(seed)
+
+
 # --- chains against the per-k oracles ---
 
 def _oracle_wannier(spec, n_k):
@@ -479,7 +486,8 @@ def test_1d_chain_errors_are_pinned(monkeypatch, chain, case, error, message):
     # k_F = h: k + h e_1 is the Dirac point at alpha = pi
     ("closing at k + h", TOL.fd_step, DegenerateAtTolerance,
      "gap 2.449e-20 at k = [0.0000000e+00 1.2246468e-20] below 1e-09 * model scale"),
-    ("non-finite", 1.0, ValueError, "vector has non-finite entries"),
+    # band_geometry forms the metric before the states, as the 1D chains do
+    ("non-finite", 1.0, NonFiniteDerivative, "non-finite Bloch-vector difference"),
 ])
 def test_eph_chain_errors_are_pinned(monkeypatch, case, e_f, error, message):
     if case == "non-finite":

@@ -117,13 +117,13 @@ def test_verify_reproducible(tmp_path):
 
 
 # sha256 of two seeded output files: the verdict rules decide exit codes only,
-# and may not move a written value
+# and may not move a written value; a Fermi-surface row's band is "upper"
 @pytest.mark.parametrize("name, argv, digest", [
     ("margins.csv", ["verify", "--strong", "--m", "2", "--loops", "20", "--n", "256",
                      "--seed", "0"],
      "1eb4ef5a3ac79f2cb1fa36af26fe571c9a2bd28fc1d3fb1d1424767dd2ec2559"),
     ("models.csv", ["models", "--model", "rhombohedral", "--layers", "3"],
-     "8bf7a41d5a0d6f6c2019b5c3887ff05ca1f1a0f4f9f244b1d0b4a8241ae18816"),
+     "76a507a552d856bbe99c0431edc58193096651548b4917fe3d7b1279ac91c98d"),
 ], ids=["verify", "models"])
 def test_output_bytes_pinned(tmp_path, name, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -407,6 +407,39 @@ def test_loop_io_roundtrip(tmp_path, capsys):
         assert sub["gamma_b"] == pytest.approx(np.pi, abs=1e-6)
 
 
+@pytest.mark.parametrize("generator, options, params, expected", [
+    ("spherical-polygon", ["--vertices", "4", "--theta", "1.0", "--n-per-edge", "16"],
+     {"vertices": 4, "theta": 1.0, "n_per_edge": 16},
+     lambda: loops.spherical_polygon(4, 1.0, 16)),
+    ("fourier-random", ["--m", "3", "--k", "2", "--n", "64", "--seed", "7"],
+     {"m": 3, "k": 2, "n": 64},
+     lambda: loops.fourier_loop(loops.random_fourier_spec(3, 2, 64, 7))),
+], ids=["spherical-polygon", "fourier-random"])
+def test_loop_io_export_import_roundtrip(tmp_path, capsys, generator, options, params,
+                                         expected):
+    path = tmp_path / "loop.csv"
+    assert main(["loop-io", "export", str(path), "--generator", generator, *options,
+                 "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    assert main(["loop-io", "import", str(path), "--out", str(tmp_path / "i")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    loop = expected()
+    assert (doc["n"], doc["dim"]) == (loop.n, loop.dim)
+    assert doc["meta"]["generator"] == generator and doc["meta"]["parameters"] == params
+    loaded, _ = load_loop(path)
+    np.testing.assert_allclose(loaded.states, loop.states, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [["--model", "rhombohedral", "--layers", "2"],
+                                   ["--model", "dirac"]])
+@pytest.mark.parametrize("band", [[], ["--band", "lower"], ["--band", "upper"]])
+def test_models_csv_names_the_upper_band_of_a_fermi_surface(tmp_path, model, band):
+    # fermi_surface_loop takes the upper band at E_F > 0, whatever --band says
+    assert main(["models", *model, *band, "--nk", "64", "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "models.csv")
+    assert rows[0][1] == "band" and {r[1] for r in rows[1:]} == {"upper"}
+
+
 def test_loop_io_writes_a_manifest_into_out(tmp_path):
     path = tmp_path / "loop.csv"
     for action, out in (("export", tmp_path / "a" / "o1"), ("import", tmp_path / "b" / "o2")):
@@ -459,6 +492,13 @@ def _loop_csv_with_zero_row(path):
     return ["loop-io", "import", str(path)]
 
 
+def _loop_csv_with_infinite_amplitude(path):
+    # inf * 1j would make a nan, and numpy warn, before the typed error
+    path.write_text('# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1,im_1\n'
+                    "0,inf,0.0,0.5,0.5\n1,0,0,1,0\n2,1,0,1,0\n")
+    return ["loop-io", "import", str(path)]
+
+
 def _loop_csv_with_odd_columns(path):
     path.write_text('# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1\n'
                     "0,1,0,0\n1,0,0,1\n2,1,0,1\n")
@@ -485,6 +525,7 @@ def _model_json(text):
 @pytest.mark.parametrize("make_argv, message", [
     (_loop_csv_without_rows, "no data rows"),
     (_loop_csv_with_zero_row, "zero or non-finite"),
+    (_loop_csv_with_infinite_amplitude, "zero or non-finite"),
     (_loop_csv_with_odd_columns, "re/im pairs"),
     (_table_csv_without_rows, "no data rows"),
     (_table_csv_with_extra_column, "4 values"),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (CHIRAL_OPERATORS, PAULI, chart_metric_grid, elementwise_gated_bloch,
@@ -20,8 +20,8 @@ from qii.geometry import (bloch_vectors, loop_berry_phase, loop_distance, qgt_at
                           summarize)
 from qii.inequalities import aggregate_subloops
 from qii.loops import load_loop, split_self_intersections
-from qii.models import (band_chart, band_state, band_states, bloch, bloch_table,
-                        bloch_table_from_csv, bz_loop,
+from qii.models import (band_chart, band_geometry, band_state, band_states, bloch,
+                        bloch_table, bloch_table_from_csv, bz_loop,
                         creutz, dirac, dirac_metric, fermi_surface_loop,
                         fourier_bloch, metric_grid, model_from_json,
                         rhombohedral, ssh)
@@ -343,6 +343,19 @@ def test_band_states_match_per_k_eigh(spec, band):
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
 @pytest.mark.parametrize("band", ["lower", "upper"])
+def test_band_geometry_equals_its_three_public_parts(spec, band):
+    # the chains' one entry gives band_states, metric_grid and |n(k)| bit for bit
+    ks = _k_points(spec, 40)
+    states, g, norm = band_geometry(spec, ks, band)
+    n = bloch(spec, ks)
+    for got, expected in ((states, band_states(spec, ks, band)),
+                          (g, metric_grid(spec, band, ks)),
+                          (norm, np.hypot(np.hypot(n[:, 0], n[:, 1]), n[:, 2]))):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("band", ["lower", "upper"])
 def test_metric_grid_matches_qgt_at(spec, band):
     ks = _k_points(spec, 40)
     g = metric_grid(spec, band, ks)
@@ -590,6 +603,9 @@ _LOOP_TEXT = st.one_of(
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # rows near 1e308
 @given(_LOOP_TEXT | st.binary(max_size=64))
+# an infinite amplitude once made a nan, and numpy warned, before the typed error
+@example('# {"m": 2}\nindex,re_0,im_0,re_1,im_1\n0.0,inf,0.0\n')
+@example('# {"m": 2}\nindex,re_0,im_0,re_1,im_1\n0.0,0.0,inf\n')
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_load_loop_fuzz_raises_only_typed_errors(content):
     with tempfile.TemporaryDirectory() as tmp:
