@@ -292,10 +292,6 @@ class QGTensor:
     f: np.ndarray
     convergence_est: float
 
-    @property
-    def trace_g(self) -> float:
-        return float(np.trace(self.g).real)
-
 
 def _as_cvector(v) -> np.ndarray:
     """Coerce to a finite 1-D complex array."""

@@ -257,7 +257,6 @@ def refine(loop: Loop, factor: int) -> Loop:
 
 
 _KEY_SEED = 20250320      # fixed, so the candidate sets are reproducible
-_PAIR_CHUNK = 1 << 20     # candidate pairs tested per block
 _EPS = float(np.finfo(float).eps)
 _NO_PAIRS = np.empty((0, 2), dtype=np.intp)
 _NO_PAIRS.setflags(write=False)
@@ -313,6 +312,10 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     width and ranked + width are rounded once more each (keys lie in
     [0, |v|^2], width < 2), by under 6 eps together.  So the window must cover
     (5.5 m + 18.5) eps, which the 32 m^2 eps slack does for every m >= 1.
+
+    Pass d tests the rows d apart in key order, for the windows that still
+    reach d.  A pass gathers at most n row pairs, so working memory is linear
+    in n: above about 10^6 samples, a small multiple of the states array.
     """
     n, m = states.shape
     key, sq = _coincidence_key(states)
@@ -329,23 +332,19 @@ def _coincidence_pairs(states: np.ndarray, tol: float) -> np.ndarray:
     if not hits.any():
         return _NO_PAIRS
     lows = np.flatnonzero(hits)
-    counts = np.searchsorted(ranked, ranked[lows] + width, side="right") - lows - 1
-    ends = np.cumsum(counts)
+    reach = np.searchsorted(ranked, ranked[lows] + width, side="right") - lows - 1
     codes = []
-    first = 0
-    while first < lows.size:
-        done = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
-        cnt = counts[first:last]
-        low = np.repeat(lows[first:last], cnt)
-        high = low + 1 + np.arange(low.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        x, y = order[low], order[high]
+    d = 1
+    while lows.size:   # pass d: sorted rows d apart, for the windows that reach d
+        x, y = order[lows], order[lows + d]
         j, k = np.minimum(x, y), np.maximum(x, y)
-        keep = (k - j >= 2) & ((j != 0) | (k != n - 1))
+        keep = (k - j >= 2) & (k - j != n - 1)   # j < k: only (0, n - 1) is n - 1 apart
         j, k = j[keep], k[keep]
         close = np.abs(np.einsum("ij,ij->i", states[j], states[k].conj())) >= cos_tol
         codes.append(j[close].astype(np.int64) * n + k[close])
-        first = last
+        d += 1
+        alive = reach >= d
+        lows, reach = lows[alive], reach[alive]
     codes = np.sort(np.concatenate(codes))   # j*n + k: row-major order
     if codes.size == 0:
         return _NO_PAIRS
@@ -467,9 +466,12 @@ def load_loop(path) -> tuple[Loop, dict]:
     bad = f"{path}: a row has zero or non-finite amplitudes"
     if not np.isfinite(data).all():   # before inf * 1j makes a nan
         raise ZeroVector(bad)
+    # exact power-of-two scaling, so the norm of a finite row cannot overflow
+    _, exp = np.frexp(np.abs(data).max(axis=1, initial=0.0, keepdims=True))
+    data = np.ldexp(data, 1 - exp)
     states = data[:, 0::2] + 1j * data[:, 1::2]
     norms = np.linalg.norm(states, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms > TOL.zero_vector)):
+    if not np.all(norms > np.ldexp(TOL.zero_vector, 1 - exp)):   # true norm > zero_vector
         raise ZeroVector(bad)
     states = states / norms
     return Loop(states), meta

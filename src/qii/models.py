@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .config import TOL
-from .errors import (DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
+from .errors import (BadResolution, DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
                      OutOfRange, SingularAtDiracPoint, WrongDimension)
 from .geometry import Chart, Loop
 
@@ -369,7 +369,9 @@ def band_geometry(spec: ModelSpec, ks, band: str = "lower"):
 
 
 def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:
-    """The n momenta k_j = 2 pi j / (n a) of the 1D Brillouin zone."""
+    """The n >= 1 momenta k_j = 2 pi j / (n a) of the 1D Brillouin zone."""
+    if n < 1:
+        raise BadResolution(f"need n >= 1 momenta, got {n}")
     return 2.0 * np.pi * np.arange(n) / (n * spec.a)
 
 

@@ -13,8 +13,8 @@ from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
 from qii.config import TOL
-from qii.errors import (DegenerateAtTolerance, NonFiniteDerivative, NotCyclic, OutOfRange,
-                        QiiError)
+from qii.errors import (BadResolution, DegenerateAtTolerance, NonFiniteDerivative,
+                        NotCyclic, OutOfRange, QiiError)
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
 from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
@@ -77,6 +77,19 @@ def test_wannier_chain_trivial_ssh():
 def test_wannier_needs_1d():
     with pytest.raises(OutOfRange):
         wannier_omega1(dirac(1.0))
+
+
+@pytest.mark.parametrize("n_k", [0, -5])
+def test_wannier_omega1_rejects_an_empty_grid(n_k):
+    # an empty grid once made a nan mean, with a numpy warning at n_k = 0
+    with pytest.raises(BadResolution, match="n >= 1 momenta"):
+        wannier_omega1(ssh(1, 2), n_k=n_k)
+
+
+def test_wannier_omega1_takes_grids_too_short_for_a_loop():
+    # Omega_1 is a grid mean and builds no loop, so 1 and 2 momenta are enough
+    for n_k in (1, 2):
+        assert wannier_omega1(ssh(1, 2), n_k=n_k) > 0
 
 
 # --- evolve ---

@@ -12,6 +12,7 @@ import pytest
 from qii import cli, geometry, loops
 from qii.applications import BoundChain
 from qii.cli import main
+from qii.errors import DegenerateSpec
 from qii.loops import load_loop
 
 
@@ -128,6 +129,38 @@ def test_verify_reproducible(tmp_path):
 def test_output_bytes_pinned(tmp_path, name, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_verify_retries_a_degenerate_spec_then_exits_2(tmp_path, monkeypatch, capsys):
+    # retry r of loop i draws its spec from SeedSequence([seed, i, r]); after
+    # 16 degenerate draws verify reports one error line
+    real, specs = cli.fourier_loop, []
+
+    def first_draw_degenerate(spec):
+        specs.append(spec)
+        if len(specs) == 1:
+            raise DegenerateSpec("degenerate draw")
+        return real(spec)
+    monkeypatch.setattr(cli, "fourier_loop", first_draw_degenerate)
+    spec, loop = cli._loop_for_index(3, 2, 64, 7, 4)
+    retry = loops.random_fourier_spec(3, 2, 64, np.random.default_rng(
+        np.random.SeedSequence([7, 4, 1])))
+    assert len(specs) == 2 and spec is specs[1]
+    np.testing.assert_array_equal(spec.coeffs, retry.coeffs)
+    assert loop.states.tobytes() == real(retry).states.tobytes()
+
+    def always_degenerate(spec):
+        specs.append(spec)
+        raise DegenerateSpec("degenerate draw")
+    monkeypatch.setattr(cli, "fourier_loop", always_degenerate)
+    specs.clear()
+    capsys.readouterr()
+    assert main(["verify", "--m", "2", "--loops", "1", "--n", "64", "--seed", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert len(specs) == 16
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no valid loop for index 0 after 16 retries"]
+
 
 
 def test_verify_workers_match_serial(tmp_path, monkeypatch):
@@ -472,6 +505,18 @@ def test_violated_report_exits_2(tmp_path, monkeypatch, capsys, make_argv, repor
     monkeypatch.setattr(cli, report, violated)
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_loop_io_imports_large_finite_amplitudes(tmp_path, capsys):
+    # the row norm of 1e308 + 1e308 i once overflowed and the row was refused
+    path = tmp_path / "loop.csv"
+    path.write_text('# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1,im_1\n'
+                    "0,1e308,1e308,0,0\n1,1,0,1,0\n2,1,0,0,1\n")
+    assert main(["loop-io", "import", str(path), "--out", str(tmp_path / "i")]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    loop, _ = load_loop(path)
+    np.testing.assert_array_equal(loop.states[0], [(1 + 1j) / np.sqrt(2), 0])
+
 
 
 def test_loop_io_import_missing_file(tmp_path):

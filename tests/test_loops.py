@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -169,6 +170,16 @@ def test_random_fourier_spec_checks_the_shape_before_drawing(m_dim, k):
 def test_random_fourier_spec_rejects_a_negative_seed():
     with pytest.raises(OutOfRange, match="non-negative"):
         random_fourier_spec(3, 2, 64, -3)
+
+
+def test_fourier_loop_with_orthogonal_samples_is_a_degenerate_spec():
+    # z(t_0) = a and z(t_1) = -1 / conj(a): samples 0 and 1 are orthogonal,
+    # which Loop's segment gate rejects and fourier_loop reports as the spec's fault
+    a = 0.5 + 0.3j
+    c1 = (a + 1.0 / np.conj(a)) / (1.0 - np.exp(2j * np.pi / 16))
+    spec = FourierLoopSpec(m_dim=2, coeffs=[[0.0, a - c1, c1]], k=1, n=16)
+    with pytest.raises(DegenerateSpec, match="consecutive overlap"):
+        fourier_loop(spec)
 
 
 # --- perturb_circle ---
@@ -507,6 +518,34 @@ def test_split_memory_is_linear_in_n():
         tracemalloc.stop()
     assert parts == [loop]
     assert peak < 64 << 20  # an n x n boolean mask alone would take 1 GiB
+
+
+def _brute_force_pairs(states, tol):
+    """Every non-adjacent pair (j, k), through the finder's own einsum overlap
+    test, in row-major order."""
+    n = len(states)
+    found = []
+    for d in range(2, n - 1):   # offset n - 1 is the closing pair (0, n - 1)
+        j = np.arange(n - d)
+        close = np.abs(np.einsum("ij,ij->i", states[j], states[j + d].conj())) >= math.cos(tol)
+        found.append(np.stack([j[close], j[close] + d], axis=1))
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def test_dense_pairs_take_linear_memory_and_match_brute_force():
+    # every key of a tiny circle lies in one window, so all n^2 / 2 candidates
+    # are tested; one sorted offset at a time, no pass holds more than n pairs
+    states = bloch_circle(2e-7, 2000).states
+    tracemalloc.start()
+    try:
+        pairs = _coincidence_pairs(states, TOL.split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) > 600_000
+    assert peak < 48 << 20   # the pairs alone take 10 MiB
+    np.testing.assert_array_equal(pairs, _brute_force_pairs(states, TOL.split))
 
 
 # --- serialization ---

@@ -601,11 +601,12 @@ _LOOP_TEXT = st.one_of(
         st.lists(st.lists(_CELLS, max_size=6), max_size=6)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # rows near 1e308
 @given(_LOOP_TEXT | st.binary(max_size=64))
 # an infinite amplitude once made a nan, and numpy warned, before the typed error
 @example('# {"m": 2}\nindex,re_0,im_0,re_1,im_1\n0.0,inf,0.0\n')
 @example('# {"m": 2}\nindex,re_0,im_0,re_1,im_1\n0.0,0.0,inf\n')
+# the norm of a finite row near 1e308 once overflowed, with a numpy warning
+@example('# {"m": 2}\nindex,re_0,im_0,re_1,im_1\n0,1e308,1e308,0,0\n1,1,0,1,0\n2,1,0,0,1\n')
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_load_loop_fuzz_raises_only_typed_errors(content):
     with tempfile.TemporaryDirectory() as tmp:
