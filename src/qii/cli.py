@@ -3,11 +3,13 @@ runs, application bounds, conjecture searches, and table/plot emission.
 
 Exit codes: 0 success, 1 usage error, 2 scientific violation or
 propagated computation error -- so CI can gate on inequality violations.
-Every run with an output directory writes a manifest.json echoing the
-fully resolved configuration, the seed, and the package version, which
-is sufficient to reproduce the run bit-identically.  The environment
-variable QII_THREADS caps the verify worker count; the entries of a JSON
---config file are parsed as the same flags, which typed flags override.
+A run builds every input it reads (model, loop, chain, search configs)
+before it writes anything, then writes a manifest.json echoing the fully
+resolved configuration, the seed, and the package version, which is
+sufficient to reproduce the run bit-identically; only verify's loops and
+search's evaluations run after it.  The environment variable QII_THREADS
+caps the verify worker count; the entries of a JSON --config file are
+parsed as the same flags, which typed flags override.
 """
 
 import argparse
@@ -15,24 +17,25 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .applications import (adiabatic_cone_demo, check_1d_model, check_cone_angle,
-                           check_pairing, check_period_ratio, check_steps, eph_bound_chain,
+from .applications import (adiabatic_cone_demo, check_cone_angle, check_pairing,
+                           check_period_ratio, check_steps, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
 from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_angle,
-                    check_polygon, check_samples, check_seed, check_turns, fourier_loop,
-                    great_circle, load_loop, random_fourier_spec, save_loop,
-                    spherical_polygon, split_self_intersections)
-from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy, check_fermi_model,
-                     fermi_surface_loop, model_from_json)
+                    check_polygon, check_seed, fourier_loop, great_circle, load_loop,
+                    random_fourier_spec, save_loop, spherical_polygon,
+                    split_self_intersections)
+from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy, fermi_surface_loop,
+                     model_from_json)
 from .search import SearchConfig, minimize_margin
 from .svgplot import line_chart, scatter_under_quarter_circle
 
@@ -44,6 +47,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextmanager
+def _flag_rules():
+    """A QiiError raised inside is a usage error: every input read there is a flag."""
+    try:
+        yield
+    except QiiError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _fmt(v):
@@ -136,9 +148,10 @@ def run_weak_suite(m, n_loops, k, n, seed, strong=False, workers=1):
 
 
 def _cmd_verify(args) -> int:
+    workers = _worker_count()
     out = _prepare_outdir(args, "verify")
     rows = run_weak_suite(args.m, args.loops, args.k, args.n, args.seed,
-                          strong=args.strong, workers=_worker_count())
+                          strong=args.strong, workers=workers)
     header = ["index", "d_fs", "gamma_b", "weak_margin", "weak_margin_abs",
               "convergence_est"]
     if args.strong:
@@ -246,11 +259,11 @@ def _subloop_reports(loop, summaries):
 
 def _cmd_models(args) -> int:
     spec = _model_from_args(args)
-    out = _prepare_outdir(args, "models")
     if spec.dim_k == 1:
         band, loop = args.band, bz_loop(spec, args.band, args.nk)
     else:   # a Fermi surface at E_F > 0 lies in the upper band
         band, (loop, _) = "upper", fermi_surface_loop(spec, args.ef, args.nk)
+    out = _prepare_outdir(args, "models")
     summaries = [summarize(p) for p in split_self_intersections(loop)]
     reports, violated = _subloop_reports(loop, summaries)
     rows = [[spec.describe(), band, i, s.n_segments, s.d_fs, s.gamma_b,
@@ -274,29 +287,24 @@ def _cmd_models(args) -> int:
 
 # ---------------------------------------------------------------- apps
 
-# the model each chain needs, checked before the manifest is written
-_APP_MODEL_CHECKS = {"wannier": lambda spec: check_1d_model(spec, "Wannier"),
-                     "sfweight": lambda spec: check_1d_model(spec, "superfluid-weight"),
-                     "eph": check_fermi_model}
+def _speed_chain(args):
+    _, gamma, report = adiabatic_cone_demo(args.theta_c, ratio=args.ratio, steps=args.steps)
+    return report.chain, (f"gamma_b={gamma:.9g}", f"eq8_residual={report.residual:.3e}")
+
+
+# --app -> (bound chain, notes the report adds); each chain raises its own
+# model-fit error
+_APPS = {
+    "wannier": lambda a: (wannier_bound_chain(_model_from_args(a), a.band, a.nk), ()),
+    "speed": _speed_chain,
+    "eph": lambda a: (eph_bound_chain(_model_from_args(a), a.ef, a.nk), ()),
+    "sfweight": lambda a: (superfluid_weight_1d(_model_from_args(a), a.u, a.nu, a.nk), ()),
+}
 
 
 def _cmd_apps(args) -> int:
-    spec = None if args.app == "speed" else _model_from_args(args)
-    if spec is not None:
-        _APP_MODEL_CHECKS[args.app](spec)
+    chain, notes = _APPS[args.app](args)
     out = _prepare_outdir(args, "apps")
-    notes = ()
-    if args.app == "wannier":
-        chain = wannier_bound_chain(spec, args.band, args.nk)
-    elif args.app == "sfweight":
-        chain = superfluid_weight_1d(spec, args.u, args.nu, args.nk)
-    elif args.app == "eph":
-        chain = eph_bound_chain(spec, args.ef, args.nk)
-    elif args.app == "speed":
-        _, gamma, report = adiabatic_cone_demo(args.theta_c, ratio=args.ratio,
-                                               steps=args.steps)
-        chain = report.chain
-        notes = (f"gamma_b={gamma:.9g}", f"eq8_residual={report.residual:.3e}")
     _write_csv(out / "chain.csv", ["label", "value", "unit"],
                [[label, value, chain.unit] for label, value in chain.entries])
     monotone = chain.is_monotone()
@@ -330,18 +338,14 @@ def _search_record(cfg, result) -> dict:
     }
 
 
-def _search_configs(args) -> list:
-    """One checked SearchConfig per search the run makes: one per --seeds
-    entry (the resume path: add seeds to extend an earlier campaign), else
-    one for --seed."""
-    return [SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
-                         restarts=args.restarts, seed=seed, coeff_bound=args.coeff_bound)
-            for seed in (args.seeds or [args.seed])]
-
-
 def _cmd_search(args) -> int:
+    # one checked SearchConfig per --seeds entry (the resume path: add seeds to
+    # extend an earlier campaign), else one for --seed
+    with _flag_rules():
+        cfgs = [SearchConfig(m_dim=args.m, k=args.k, n=args.n, budget=args.budget,
+                             restarts=args.restarts, seed=seed, coeff_bound=args.coeff_bound)
+                for seed in (args.seeds or [args.seed])]
     out = _prepare_outdir(args, "search")
-    cfgs = _search_configs(args)
     seeds = [cfg.seed for cfg in cfgs]
     runs = [(cfg, minimize_margin(cfg)) for cfg in cfgs]
     # merging keeps the worst margin, the first of equals
@@ -365,31 +369,44 @@ def _cmd_search(args) -> int:
 
 # ---------------------------------------------------------------- loop-io
 
+# one export per --generator: (loop, header parameters) of the parsed flags
+
+def _export_bloch_circle(args):
+    return bloch_circle(args.theta, args.n), {"theta": args.theta, "n": args.n}
+
+
+def _export_great_circle(args):
+    try:   # --axis as three floats with a finite non-zero norm
+        axis = [float(x) for x in args.axis.split(",")]
+        _unit_axis(axis)
+    except (ValueError, WrongDimension, ZeroVector) as exc:
+        raise _UsageError(f"bad --axis {args.axis!r}: {exc}") from None
+    return (great_circle(axis, args.n, turns=args.turns),
+            {"axis": axis, "n": args.n, "turns": args.turns})
+
+
+def _export_spherical_polygon(args):
+    return (spherical_polygon(args.vertices, args.theta, args.n_per_edge),
+            {"vertices": args.vertices, "theta": args.theta, "n_per_edge": args.n_per_edge})
+
+
+def _export_fourier_random(args):
+    spec = random_fourier_spec(args.m, args.k, args.n, args.seed)
+    return fourier_loop(spec), {"m": args.m, "k": args.k, "n": args.n}
+
+
 def _cmd_loop_io(args) -> int:
-    _prepare_outdir(args, "loop-io")
     if args.action == "export":
-        gen = args.generator
-        if gen == "bloch-circle":
-            loop = bloch_circle(args.theta, args.n)
-            params = {"theta": args.theta, "n": args.n}
-        elif gen == "great-circle":
-            axis = _axis_arg(args.axis)
-            loop = great_circle(axis, args.n, turns=args.turns)
-            params = {"axis": axis, "n": args.n, "turns": args.turns}
-        elif gen == "spherical-polygon":
-            loop = spherical_polygon(args.vertices, args.theta, args.n_per_edge)
-            params = {"vertices": args.vertices, "theta": args.theta,
-                      "n_per_edge": args.n_per_edge}
-        else:   # fourier-random
-            spec = random_fourier_spec(args.m, args.k, args.n, args.seed)
-            loop = fourier_loop(spec)
-            params = {"m": args.m, "k": args.k, "n": args.n}
-        save_loop(args.file, loop, generator=gen, parameters=params,
-                  seed=getattr(args, "seed", None))
+        with _flag_rules():
+            loop, params = globals()["_export_" + args.generator.replace("-", "_")](args)
+        _prepare_outdir(args, "loop-io")
+        save_loop(args.file, loop, generator=args.generator, parameters=params,
+                  seed=args.seed)
         print(f"loop-io: wrote {args.file} ({loop.n} states, dim {loop.dim})")
         return 0
 
     loop, meta = load_loop(args.file)
+    _prepare_outdir(args, "loop-io")
     parts = split_self_intersections(loop) if args.split else [loop]
     summaries = [summarize(p) for p in parts]
     reports, violated = _subloop_reports(loop, summaries)
@@ -408,16 +425,6 @@ def _cmd_loop_io(args) -> int:
 
 def _int_list(text):
     return [int(x) for x in text.split(",") if x]
-
-
-def _axis_arg(text):
-    """--axis as three floats with a finite non-zero norm."""
-    try:
-        axis = [float(x) for x in str(text).split(",")]
-        _unit_axis(axis)
-    except (ValueError, WrongDimension, ZeroVector) as exc:
-        raise _UsageError(f"bad --axis {text!r}: {exc}") from None
-    return axis
 
 
 @lru_cache(maxsize=1)
@@ -454,8 +461,7 @@ def build_parser():
 
     p = by_name["apps"] = subs.add_parser(
         "apps", help="physical bound chains")
-    p.add_argument("--app", required=True,
-                   choices=["wannier", "speed", "eph", "sfweight"])
+    p.add_argument("--app", required=True, choices=list(_APPS))
     _add_model_flags(p)
     p.add_argument("--nk", type=int, default=256)
     p.add_argument("--u", type=float, default=1.0, help="Hubbard interaction")
@@ -535,7 +541,7 @@ def _config_flags(sub, path) -> list:
 
 
 def _check_args(args):
-    """Usage checks on the parsed flags, --config entries included."""
+    """Usage rules on the parsed flags, --config included, that no input builder raises."""
     # every float flag; a bad --ef is a Fermi-energy error (exit 2) below
     for dest, value in vars(args).items():
         if isinstance(value, float) and dest != "ef" and not np.isfinite(value):
@@ -546,38 +552,21 @@ def _check_args(args):
         if args.nk < 3:
             raise _UsageError(f"a k-point loop needs --nk >= 3, got {args.nk}")
         check_fermi_energy(args.ef)
-    if args.command == "verify":
-        if args.loops < 1:
-            raise _UsageError(f"need --loops >= 1, got {args.loops}")
-        _worker_count()
-    export = args.command == "loop-io" and args.action == "export"
-    generator = args.generator if export else None
-    if generator == "great-circle":
-        _axis_arg(args.axis)
-    try:
-        if args.command == "verify" or generator == "fourier-random":
+    if args.command == "verify" and args.loops < 1:
+        raise _UsageError(f"need --loops >= 1, got {args.loops}")
+    with _flag_rules():
+        if args.command == "verify":
             check_fourier_shape(args.m, args.k, args.n)
             check_seed(args.seed)
-        if generator in ("bloch-circle", "great-circle"):
-            check_samples(args.n)
-        if generator == "great-circle":
-            check_turns(args.turns)
-        if args.command == "figure1" or generator in ("bloch-circle", "spherical-polygon"):
-            check_polar_angle(args.theta)
         if args.command == "figure1":
+            check_polar_angle(args.theta)
             check_polygon(min(args.n_list), args.n_per_edge)
-        if generator == "spherical-polygon":
-            check_polygon(args.vertices, args.n_per_edge)
-        if args.command == "search":
-            _search_configs(args)
-        if args.command == "apps":
+        if args.command == "apps":   # whether the app reads the flag or not
             check_steps(args.steps)
             check_period_ratio(args.ratio)
             check_cone_angle(args.theta_c)
             if args.app == "sfweight":
                 check_pairing(args.u, args.nu)
-    except QiiError as exc:
-        raise _UsageError(str(exc)) from None
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import (DimensionMismatch, IllConditionedSegment, NonFiniteDerivative,
-                     PoleDegenerate, WrongDimension, ZeroVector)
+                     OutOfRange, PoleDegenerate, WrongDimension, ZeroVector)
 
 
 # np.add.reduce sums a contiguous run of 8 or more numbers pairwise and a
@@ -61,7 +61,7 @@ class Loop:
         if arr.shape[0] < 3:
             raise IllConditionedSegment("a loop needs at least 3 states")
         if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
-            raise ValueError("loop states must be normalized")
+            raise ZeroVector("loop states must be normalized")
         overlaps = _overlap_pass(arr)
         mod = overlaps[2]
         if mod.min() <= TOL.segment_overlap:
@@ -275,7 +275,7 @@ class Chart:
 
     def __post_init__(self):
         if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
+            raise OutOfRange("finite-difference step must be positive")
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,7 @@ def _as_cvector(v) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("vector has non-finite entries")
+        raise OutOfRange("vector has non-finite entries")
     return arr
 
 

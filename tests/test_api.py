@@ -85,8 +85,8 @@ def _circle_map(lam):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Loop(np.ones(4, dtype=complex)), WrongDimension, "must be 2-D"),
-    (lambda: Chart(_circle_map, 2, step=0.0), ValueError, "step must be positive"),
-    (lambda: Chart(_circle_map, 2, step=-1e-4), ValueError, "step must be positive"),
+    (lambda: Chart(_circle_map, 2, step=0.0), OutOfRange, "step must be positive"),
+    (lambda: Chart(_circle_map, 2, step=-1e-4), OutOfRange, "step must be positive"),
     (lambda: _as_cvector(np.eye(2)), DimensionMismatch, "1-D vector"),
     (lambda: projector([1.0, 1.0]), ZeroVector, "normalized state"),
     (lambda: qgt_at(Chart(_circle_map, 2), [0.3]), WrongDimension, "expects 2 parameters"),

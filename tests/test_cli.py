@@ -612,6 +612,31 @@ def test_bad_model_exits_2_before_the_manifest(tmp_path, capsys, command, messag
     assert not (tmp_path / "o").exists()
 
 
+_GAPLESS_SSH = ["--model", "ssh", "--v", "1", "--w", "1", "--nk", "64"]
+
+
+@pytest.mark.parametrize("make_argv, code, message", [
+    pytest.param(lambda path: ["apps", "--app", "wannier", *_GAPLESS_SSH], 2, "gap",
+                 id="apps-chain"),
+    pytest.param(lambda path: ["models", *_GAPLESS_SSH], 2, "gap", id="models-loop"),
+    pytest.param(_loop_csv_without_rows, 2, "no data rows", id="import-file"),
+    pytest.param(lambda path: ["loop-io", "export", str(path.with_name("gc.csv")),
+                               "--generator", "great-circle", "--n", "4", "--turns", "2"],
+                 1, "consecutive overlap", id="export-loop"),
+    pytest.param(lambda path: ["apps", "--app", "speed", "--steps", "1"], 2, "norm drift",
+                 id="speed-chain"),
+])
+def test_a_failed_input_writes_nothing(tmp_path, capsys, make_argv, code, message):
+    # each run builds its model, chain, loop or loop file before the manifest;
+    # a failed export loop is a usage error, since its every input is a flag
+    argv = make_argv(tmp_path / "input") + ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 1 else "error: ") and message in err
+    assert not (tmp_path / "o").exists()
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["input"])   # no gc.csv either
+
+
 @pytest.mark.parametrize("command", [
     ["apps", "--app", "eph", "--model", "dirac"], ["models", "--model", "dirac"],
     # runs that build no Fermi surface check --ef too

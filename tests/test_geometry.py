@@ -86,7 +86,7 @@ def test_loop_rejects_orthogonal_neighbors():
 
 def test_loop_rejects_nan_states():
     states = np.array([[1, 0], [np.nan, 0], [0, 1]], dtype=complex)
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ZeroVector, match="normalized"):
         Loop(states)
 
 
@@ -337,10 +337,10 @@ def test_qgt_gauge_independent():
 
 
 def test_qgt_non_finite_map():
-    from qii.errors import NonFiniteDerivative
+    from qii.errors import NonFiniteDerivative, OutOfRange
 
     def bad_map(lam):
         return np.array([1.0, np.inf * lam[0]])
 
-    with pytest.raises((NonFiniteDerivative, ValueError)):
+    with pytest.raises((NonFiniteDerivative, OutOfRange)):
         qgt_at(Chart(map=bad_map, d=1), [0.5])
