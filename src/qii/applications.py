@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-from .geometry import Loop, loop_berry_phase, loop_distance, segment_distance
+from .geometry import Loop, _row_norms, loop_berry_phase, loop_distance, segment_distance
 from .models import (ModelSpec, _fermi_circle, band_geometry, bloch, bz_grid, fourier_bloch,
                      metric_grid)
 from .loops import check_seed, split_self_intersections
@@ -128,8 +128,9 @@ def evolve(h_of_t, psi0, duration: float, steps: int) -> Trajectory:
     """Fixed-step RK4 integration of i d/dt psi = H(t) psi (hbar = 1).
 
     The state is renormalized after every step; a pre-renormalization
-    drift beyond the tolerance raises NormDrift.  Delta E(t) and the
-    accumulated Fubini-Study length are recorded at every step.
+    drift beyond the tolerance, or a non-finite norm, raises NormDrift.
+    The loop keeps each state and H psi; Delta E(t) and the accumulated
+    Fubini-Study length are then one array pass each over them.
     """
     check_steps(steps)
     psi = np.asarray(psi0, dtype=complex)
@@ -137,40 +138,30 @@ def evolve(h_of_t, psi0, duration: float, steps: int) -> Trajectory:
     dt = duration / steps
     times = np.linspace(0.0, duration, steps + 1)
     states = np.empty((steps + 1, psi.size), dtype=complex)
-    dvar = np.empty(steps + 1)
-    d_acc = np.empty(steps + 1)
-
-    def rhs(h, v):
-        return -1j * (h @ v)
-
-    def delta_e(h, v):
-        # ||(H - <H>) psi|| equals sqrt(<H^2> - <H>^2) without cancellation
-        hv = h @ v
-        mean = np.vdot(v, hv).real
-        return float(np.linalg.norm(hv - mean * v))
-
-    h_now = np.asarray(h_of_t(times[0]), dtype=complex)
+    hpsi = np.empty_like(states)   # matmul's out= does not broadcast a wrong-shape H
     states[0] = psi
-    dvar[0] = delta_e(h_now, psi)
-    d_acc[0] = 0.0
-    for i in range(steps):
-        t = times[i]
-        h_mid = np.asarray(h_of_t(t + 0.5 * dt), dtype=complex)
-        h_next = np.asarray(h_of_t(t + dt), dtype=complex)
-        k1 = rhs(h_now, psi)
-        k2 = rhs(h_mid, psi + 0.5 * dt * k1)
-        k3 = rhs(h_mid, psi + 0.5 * dt * k2)
-        k4 = rhs(h_next, psi + dt * k3)
-        new = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        nrm = np.linalg.norm(new)
-        if abs(nrm - 1.0) > TOL.norm_drift:
-            raise NormDrift(f"norm drift {abs(nrm - 1.0):.3e} at step {i}")
-        new = new / nrm
-        d_acc[i + 1] = d_acc[i] + segment_distance(psi, new)
-        psi = new
-        states[i + 1] = psi
-        dvar[i + 1] = delta_e(h_next, psi)
-        h_now = h_next
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite ends in NormDrift
+        hv = np.matmul(np.asarray(h_of_t(times[0]), dtype=complex), psi, out=hpsi[0])
+        for i in range(steps):
+            h_mid = np.asarray(h_of_t(times[i] + 0.5 * dt), dtype=complex)
+            h_next = np.asarray(h_of_t(times[i] + dt), dtype=complex)
+            k1 = -1j * hv
+            k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
+            k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
+            k4 = -1j * (h_next @ (psi + dt * k3))
+            new = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            nrm = np.linalg.norm(new)
+            if not abs(nrm - 1.0) <= TOL.norm_drift:   # a nan norm fails too
+                raise NormDrift(f"norm drift {abs(nrm - 1.0):.3e} at step {i}")
+            psi = states[i + 1] = new / nrm
+            hv = np.matmul(h_next, psi, out=hpsi[i + 1])
+    # ||(H - <H>) psi|| equals sqrt(<H^2> - <H>^2) without cancellation
+    mean = np.einsum("ij,ij->i", states.conj(), hpsi).real
+    dvar = _row_norms(hpsi - mean[:, None] * states)
+    a, b = states[:-1], states[1:]   # segment_distance of consecutive states
+    ovl = np.einsum("ij,ij->i", a.conj(), b)
+    chords = np.arctan2(_row_norms(b - a * ovl[:, None]), np.minimum(1.0, np.abs(ovl)))
+    d_acc = np.concatenate(([0.0], np.cumsum(chords)))
     return Trajectory(times=times, states=states, energies_var=dvar, d_accum=d_acc)
 
 

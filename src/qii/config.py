@@ -20,8 +20,8 @@ class Tolerances:
     branch_guard: float = 1e-9     # phases this close to -pi are reported as +pi
     saturation_floor: float = 1e-6 # minimum saturation tolerance in reports
     norm_drift: float = 1e-6       # max integrator norm drift per step
-    violation: float = 1e-5        # read only by the benchmark's search check; verdicts
-                                   # use inequalities.IneqReport.violated
+    violation: float = 1e-5        # read by the benchmark's search check and two search
+                                   # tests; verdicts use inequalities.IneqReport.violated
 
 
 TOL = Tolerances()

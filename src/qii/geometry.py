@@ -128,7 +128,7 @@ def _distance(states: np.ndarray, overlaps=None) -> float:
 def _berry_phase(states: np.ndarray, overlaps=None) -> float:
     _, ovl, mod = overlaps or _overlap_pass(states)
     low = mod.min()
-    if low < TOL.segment_overlap:
+    if low <= TOL.segment_overlap:
         raise IllConditionedSegment(f"overlap {low:.3e} too small for a Berry phase")
     # Summing the segment angles (each well inside (-pi, pi)) instead of
     # taking arg of the product avoids underflow of the product magnitude;

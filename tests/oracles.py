@@ -9,8 +9,9 @@ and the generic chart path, never through the batched k-array code.
 The np.roll overlap pass, the row-major Fourier sampler, the Gram-matrix
 splitter, the list-based simplex, the bound chains composed of the
 public model functions and the two-outer Fourier Bloch map, elementwise
-gap gate, where-spinors and full-stack metric are earlier
-implementations, kept so the current ones can be held to them bit for bit.
+gap gate, where-spinors and full-stack metric and the stepwise RK4 loop
+are earlier implementations, kept so the current ones can be held to them
+bit for bit.
 """
 
 import cmath
@@ -97,6 +98,54 @@ def two_level_propagator(h, t) -> np.ndarray:
     """exp(-i h t) for a 2x2 Hermitian h via its eigendecomposition."""
     vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
     return vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
+def stepwise_evolve(h_of_t, psi0, duration, steps):
+    """The earlier `evolve` loop: RK4 steps that record Delta E and add the
+    segment distance of each step as they go.  Returns (states, Delta E,
+    accumulated distance)."""
+    from qii.config import TOL
+    from qii.errors import NormDrift
+    from qii.geometry import segment_distance
+    psi = np.asarray(psi0, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    dt = duration / steps
+    times = np.linspace(0.0, duration, steps + 1)
+    states = np.empty((steps + 1, psi.size), dtype=complex)
+    dvar = np.empty(steps + 1)
+    d_acc = np.empty(steps + 1)
+
+    def rhs(h, v):
+        return -1j * (h @ v)
+
+    def delta_e(h, v):
+        hv = h @ v
+        mean = np.vdot(v, hv).real
+        return float(np.linalg.norm(hv - mean * v))
+
+    h_now = np.asarray(h_of_t(times[0]), dtype=complex)
+    states[0] = psi
+    dvar[0] = delta_e(h_now, psi)
+    d_acc[0] = 0.0
+    for i in range(steps):
+        t = times[i]
+        h_mid = np.asarray(h_of_t(t + 0.5 * dt), dtype=complex)
+        h_next = np.asarray(h_of_t(t + dt), dtype=complex)
+        k1 = rhs(h_now, psi)
+        k2 = rhs(h_mid, psi + 0.5 * dt * k1)
+        k3 = rhs(h_mid, psi + 0.5 * dt * k2)
+        k4 = rhs(h_next, psi + dt * k3)
+        new = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        nrm = np.linalg.norm(new)
+        if abs(nrm - 1.0) > TOL.norm_drift:
+            raise NormDrift(f"norm drift {abs(nrm - 1.0):.3e} at step {i}")
+        new = new / nrm
+        d_acc[i + 1] = d_acc[i] + segment_distance(psi, new)
+        psi = new
+        states[i + 1] = psi
+        dvar[i + 1] = delta_e(h_next, psi)
+        h_now = h_next
+    return states, dvar, d_acc
 
 
 def unwrapped_winding_metric_integral(phi_values, dk) -> float:
@@ -230,6 +279,22 @@ def chart_metric_grid(spec, band, ks) -> np.ndarray:
     from qii.models import band_chart
     chart = band_chart(spec, band)
     return np.array([qgt_at(chart, np.atleast_1d(k), richardson=False).g for k in ks])
+
+
+def scalars_longdouble(states):
+    """(d_fs, gamma_b, pi) of the cyclic chord sequence of the same float64
+    states, in np.clongdouble arithmetic: the chord angles
+    arctan2(|residual|, |overlap|) and the segment angles of the overlaps,
+    each summed, and the phase reduced to (-pi, pi].  Where longdouble is
+    double this is the float64 computation again."""
+    rows = np.asarray(states).astype(np.clongdouble)
+    nxt = np.roll(rows, -1, axis=0)
+    ovl = (rows.conj() * nxt).sum(axis=1)
+    res = nxt - rows * ovl[:, None]
+    d = np.arctan2(np.sqrt((res.real**2 + res.imag**2).sum(axis=1)), np.abs(ovl)).sum()
+    pi = 4 * np.arctan(np.longdouble(1))
+    gamma = (pi - np.arctan2(ovl.imag, ovl.real).sum()) % (2 * pi) - pi
+    return d, (pi if gamma <= -pi + 1e-9 else gamma), pi
 
 
 def roll_distance(states) -> float:

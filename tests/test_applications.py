@@ -5,8 +5,8 @@ import pytest
 
 from oracles import (chart_metric_grid, composed_eph_values, composed_superfluid_values,
                      composed_wannier_values, earlier_band_chain, earlier_eph_values,
-                     hamiltonian, per_k_band_states, two_level_propagator,
-                     unwrapped_winding_metric_integral)
+                     hamiltonian, per_k_band_states, stepwise_evolve,
+                     two_level_propagator, unwrapped_winding_metric_integral)
 from qii import applications, geometry, models
 from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               evolve, random_gapped_bloch_spec,
@@ -14,7 +14,7 @@ from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               wannier_bound_chain, wannier_omega1)
 from qii.config import TOL
 from qii.errors import (BadResolution, DegenerateAtTolerance, NonFiniteDerivative,
-                        NotCyclic, OutOfRange, QiiError)
+                        NormDrift, NotCyclic, OutOfRange, QiiError)
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
 from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
@@ -200,6 +200,45 @@ def test_evolve_detects_norm_drift():
     from qii.errors import NormDrift
     with pytest.raises(NormDrift):
         evolve(lambda t: 5.0 * SX, [1, 0], 10.0, 3)
+
+
+@pytest.mark.parametrize("h", [np.full((2, 2), np.nan), np.array([[np.inf, 0], [0, 1]])],
+                         ids=["nan", "inf"])
+def test_evolve_rejects_non_finite_hamiltonian(h):
+    # a nan norm fails `drift <= tolerance`, so nan or inf in H ends in
+    # NormDrift at the first step, with no warning from the RK4 products
+    with pytest.raises(NormDrift, match="at step 0"):
+        evolve(lambda t: h, [1, 0], 1.0, 10)
+
+
+@pytest.mark.parametrize("h", [1.0, np.eye(3)], ids=["scalar", "3x3"])
+def test_evolve_rejects_wrong_shape_hamiltonian(h):
+    with pytest.raises(ValueError, match="matmul"):
+        evolve(lambda t: h, [1, 0], 1.0, 10)
+
+
+def _random_drive(rng, m):
+    """H(t) = A + cos(w0 t) B + sin(w1 t) C with seeded Hermitian A, B, C."""
+    x = rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))
+    a, b, c = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    w = rng.uniform(0.5, 2.0, size=2)
+    return lambda t: a + np.cos(w[0] * t) * b + np.sin(w[1] * t) * c
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evolve_matches_stepwise_loop(m):
+    # the same RK4 steps give the same states bit for bit; Delta E and the
+    # accumulated length, batched after the loop, agree to rounding
+    rng = np.random.default_rng(20 + m)
+    for _ in range(3):
+        h_of_t = _random_drive(rng, m)
+        psi0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+        traj = evolve(h_of_t, psi0, 3.0, 2000)
+        states, dvar, d_acc = stepwise_evolve(h_of_t, psi0, 3.0, 2000)
+        assert traj.states.tobytes() == states.tobytes()
+        np.testing.assert_allclose(traj.energies_var, dvar, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.d_accum, d_acc, rtol=0, atol=1e-13)
+        assert traj.d_accum[-1] > 1.0
 
 
 # --- electron-phonon ---

@@ -283,6 +283,22 @@ def test_one_pass_scalars_match_roll_oracle_bit_for_bit():
     assert fallbacks == 3
 
 
+def test_half_loop_phase_gate_is_the_loop_gate():
+    # the half loop opens with |<a|c>| = 1e-9 exactly, which Loop rejects;
+    # its phase is rejected at the same overlap, so summarize falls back to
+    # the distance-only estimate
+    a, c, e = np.array([1.0, 0.0]), np.array([1e-9, 1.0]), normalize([1, 1j])
+    rows = np.array([a, normalize(a + c), c, normalize(c + e), e, normalize(e + a)])
+    half = rows[::2]
+    assert abs(np.vdot(a, c)) == TOL.segment_overlap
+    with pytest.raises(IllConditionedSegment):
+        Loop(half)
+    with pytest.raises(IllConditionedSegment):
+        _scalars(half)
+    s = summarize(Loop(rows))
+    assert s.convergence_est == abs(s.d_fs - roll_distance(half))
+
+
 # --- qgt_at ---
 
 def _two_band_chart(step=TOL.fd_step):

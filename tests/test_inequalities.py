@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (cap_area, cap_perimeter, spherical_polygon_area,
+from oracles import (cap_area, cap_perimeter, scalars_longdouble, spherical_polygon_area,
                      spherical_polygon_perimeter)
 from qii import geometry
 from qii.errors import AreaExceedsSphere, EmptyInput, IllConditionedSegment
@@ -273,6 +273,75 @@ def test_lowered_distance_term_fails_the_rounding_bound(monkeypatch, turns):
         s = summarize(part)
         rep = strong_qii(s)
         assert rep.violated and -tol_for(s) <= rep.margin < -1e-10
+
+
+# --- the rounding bound against extended precision ---
+
+_HEADROOM = 0.05   # largest margin error / rounding bound the property allows
+_LONGDOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="longdouble is double on this platform, so it cannot measure float64 rounding")
+
+
+def _margin_errors(loop):
+    """|float64 margin - extended-precision margin| / rounding bound, for the
+    weak and the strong margin of `loop`'s samples.  The phase is defined
+    mod 2 pi, so the weak error is taken mod 2 pi."""
+    s = summarize(loop)
+    d, gamma, pi = scalars_longdouble(loop.states)
+    weak, strong = weak_qii(s), strong_qii(s)
+    dw = np.longdouble(weak.margin) - (d - gamma)
+    dw -= 2 * pi * np.round(dw / (2 * pi))
+    ds = np.longdouble(strong.margin) - ((abs(gamma) - pi) ** 2 + d**2 - pi**2)
+    return float(abs(dw)) / weak.bound, float(abs(ds)) / strong.bound
+
+
+@st.composite
+def _rounding_cases(draw):
+    n = draw(st.integers(64, 4096))
+    theta = draw(_THETA)
+    family = draw(st.sampled_from(["fourier", "circle", "perturbed", "polygon"]))
+    if family == "fourier":
+        m, k = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+        coeffs = random_fourier_spec(m, k, n, draw(st.integers(0, 2**32 - 1))).coeffs
+        try:
+            return Loop(fourier_states(coeffs, n))
+        except IllConditionedSegment:
+            assume(False)
+    if family == "circle":
+        return bloch_circle(theta, n)
+    if family == "perturbed":
+        eps = draw(st.floats(0.0, 1.0)) * 0.99 * min(theta, np.pi - theta)
+        return perturb_circle(theta, eps, draw(st.integers(1, 6)), n)
+    vertices = draw(st.integers(3, 64))
+    return spherical_polygon(vertices, theta, -(-n // vertices))
+
+
+@_LONGDOUBLE
+@given(_rounding_cases())
+@settings(max_examples=200, deadline=None)
+def test_margin_rounding_error_is_far_inside_the_bound(loop):
+    # a circle near the south pole winds its segment phases through about
+    # 2 pi whatever d is, so its phase keeps a few ulps of 2 pi: at n = 64-96
+    # that reaches 1.3e-2 of the bound (dense scan); Fourier loops stay below
+    # 1e-3.  1/20 leaves room for unsampled loops and still catches the
+    # arccos distance (next test)
+    assert max(_margin_errors(loop)) <= _HEADROOM
+
+
+@_LONGDOUBLE
+def test_arccos_distance_fails_the_rounding_property(monkeypatch):
+    # arccos(|<a|b>|) loses half the digits of a short chord; the bound's
+    # derivation rests on the arctan2 form
+    loop = bloch_circle(1.0, 4096)
+    assert max(_margin_errors(loop)) <= _HEADROOM
+
+    def arccos_distance(states, overlaps=None):
+        _, _, mod = overlaps or geometry._overlap_pass(states)
+        return float(np.add.reduce(np.arccos(np.minimum(1.0, mod))))
+
+    monkeypatch.setattr(geometry, "_distance", arccos_distance)
+    assert max(_margin_errors(loop)) > _HEADROOM
 
 
 # --- crossings do not void the two-band theorem ---
