@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import NormDrift, NotCyclic, OutOfRange
-from .geometry import Loop, _row_norms, loop_berry_phase, loop_distance, segment_distance
+from .geometry import (Loop, _chord_angles, _row_norms, loop_berry_phase, loop_distance,
+                       segment_distance)
 from .models import (ModelSpec, _fermi_circle, band_geometry, bloch, bz_grid, fourier_bloch,
                      metric_grid)
 from .loops import check_seed, split_self_intersections
@@ -158,10 +159,7 @@ def evolve(h_of_t, psi0, duration: float, steps: int) -> Trajectory:
     # ||(H - <H>) psi|| equals sqrt(<H^2> - <H>^2) without cancellation
     mean = np.einsum("ij,ij->i", states.conj(), hpsi).real
     dvar = _row_norms(hpsi - mean[:, None] * states)
-    a, b = states[:-1], states[1:]   # segment_distance of consecutive states
-    ovl = np.einsum("ij,ij->i", a.conj(), b)
-    chords = np.arctan2(_row_norms(b - a * ovl[:, None]), np.minimum(1.0, np.abs(ovl)))
-    d_acc = np.concatenate(([0.0], np.cumsum(chords)))
+    d_acc = np.concatenate(([0.0], np.cumsum(_chord_angles(states[:-1], states[1:]))))
     return Trajectory(times=times, states=states, energies_var=dvar, d_accum=d_acc)
 
 
@@ -305,6 +303,9 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
     ), unit="energy*length", notes=tuple(notes))
 
 
+_MAX_DRAWS = 10_000   # about a second of draws
+
+
 def random_gapped_bloch_spec(rng, gap_ratio: float = 0.25) -> ModelSpec:
     """Random smooth two-band 1D model with a guaranteed direct gap.
 
@@ -312,6 +313,7 @@ def random_gapped_bloch_spec(rng, gap_ratio: float = 0.25) -> ModelSpec:
     min_k |n(k)| exceeds gap_ratio * max_k |n(k)| on a dense grid;
     deterministic given the generator state.  gap_ratio must lie in [0, 1):
     a ratio of 1 or more asks for a constant |n(k)|, which no draw gives.
+    Past _MAX_DRAWS draws (none of 20 000 cleared 0.9) it raises OutOfRange.
     """
     if not 0.0 <= gap_ratio < 1.0:
         raise OutOfRange(f"gap ratio must lie in [0, 1), got {gap_ratio}")
@@ -319,7 +321,7 @@ def random_gapped_bloch_spec(rng, gap_ratio: float = 0.25) -> ModelSpec:
         check_seed(rng)
         rng = np.random.default_rng(rng)
     ks = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    while True:
+    for _ in range(_MAX_DRAWS):
         const = rng.normal(size=3)
         cosc = rng.normal(size=(2, 3)) / np.arange(1, 3)[:, None]
         sinc = rng.normal(size=(2, 3)) / np.arange(1, 3)[:, None]
@@ -327,3 +329,4 @@ def random_gapped_bloch_spec(rng, gap_ratio: float = 0.25) -> ModelSpec:
         norms = np.linalg.norm(bloch(spec, ks), axis=1)
         if norms.min() >= gap_ratio * norms.max():
             return spec
+    raise OutOfRange(f"none of {_MAX_DRAWS} draws reached gap ratio {gap_ratio}")

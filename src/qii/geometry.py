@@ -62,12 +62,7 @@ class Loop:
             raise IllConditionedSegment("a loop needs at least 3 states")
         if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
             raise ZeroVector("loop states must be normalized")
-        overlaps = _overlap_pass(arr)
-        mod = overlaps[2]
-        if mod.min() <= TOL.segment_overlap:
-            raise IllConditionedSegment(
-                f"consecutive overlap {mod.min():.3e} below {TOL.segment_overlap:.0e} "
-                f"at segment {int(mod.argmin())}")
+        overlaps = _gated_pass(arr)
         arr = arr.copy(order="K" if arr.shape[1] < _COLUMN_MAJOR_BELOW else "C")
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
@@ -110,26 +105,39 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _overlap_pass(states: np.ndarray):
     """(successor rows, cyclic overlaps <psi_j|psi_{j+1}>, their moduli);
     the successors are np.roll(states, -1, axis=0) made by one slice
-    concatenation.  The moduli serve the segment gate, the chord angles
-    and the phase gate alike."""
+    concatenation.  The moduli serve the segment gate and the chord
+    angles alike."""
     nxt = np.concatenate((states[1:], states[:1]))
     ovl = np.einsum("ij,ij->i", states.conj(), nxt)
     return nxt, ovl, np.abs(ovl)
 
 
-def _distance(states: np.ndarray, overlaps=None) -> float:
-    # atan2(sin, cos) with the sine taken from the orthogonal residual is
-    # uniformly accurate; arccos alone loses half the digits near 1.
-    nxt, ovl, mod = overlaps or _overlap_pass(states)
-    sin = _row_norms(nxt - states * ovl[:, None])
-    return float(np.add.reduce(np.arctan2(sin, mod)))
+def _gated_pass(states: np.ndarray):
+    """`_overlap_pass` behind the segment gate that every loop scalar needs."""
+    overlaps = _overlap_pass(states)
+    mod = overlaps[2]
+    if mod.min() <= TOL.segment_overlap:
+        raise IllConditionedSegment(
+            f"consecutive overlap {mod.min():.3e} below {TOL.segment_overlap:.0e} "
+            f"at segment {int(mod.argmin())}")
+    return overlaps
 
 
-def _berry_phase(states: np.ndarray, overlaps=None) -> float:
-    _, ovl, mod = overlaps or _overlap_pass(states)
-    low = mod.min()
-    if low <= TOL.segment_overlap:
-        raise IllConditionedSegment(f"overlap {low:.3e} too small for a Berry phase")
+def _chord_angles(a: np.ndarray, b: np.ndarray, ovl=None, mod=None) -> np.ndarray:
+    """Fubini-Study angles atan2(|b - a <a|b>|, |<a|b>|) of the row pairs,
+    given ovl = <a|b> and mod = |ovl| if made.  Unlike arccos|<a|b>|, it
+    keeps every digit of a short chord and needs no clamp of mod to 1."""
+    if ovl is None:
+        ovl = np.einsum("ij,ij->i", a.conj(), b)
+        mod = np.abs(ovl)
+    return np.arctan2(_row_norms(b - a * ovl[:, None]), mod)
+
+
+def _distance(states: np.ndarray, overlaps=None) -> float:   # ungated
+    return float(np.add.reduce(_chord_angles(states, *(overlaps or _overlap_pass(states)))))
+
+
+def _berry_phase(ovl: np.ndarray) -> float:
     # Summing the segment angles (each well inside (-pi, pi)) instead of
     # taking arg of the product avoids underflow of the product magnitude;
     # arctan2(imag, real) is np.angle's own arithmetic.
@@ -137,18 +145,16 @@ def _berry_phase(states: np.ndarray, overlaps=None) -> float:
 
 
 def _scalars(states: np.ndarray, overlaps=None) -> tuple[float, float]:
-    """(d_fs, gamma_b) from one overlap pass, `overlaps` if already made."""
-    overlaps = overlaps or _overlap_pass(states)
-    return _distance(states, overlaps), _berry_phase(states, overlaps)
+    """(d_fs, gamma_b) from one gated overlap pass, `overlaps` if already made."""
+    overlaps = overlaps or _gated_pass(states)
+    return _distance(states, overlaps), _berry_phase(overlaps[1])
 
 
 def segment_distance(a, b) -> float:
     """Geodesic Fubini-Study distance arccos|<a|b>| in [0, pi/2]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ov = np.vdot(a, b)
-    sin = np.linalg.norm(b - a * ov)
-    return float(np.arctan2(sin, min(1.0, abs(ov))))
+    a = np.asarray(a, dtype=complex).reshape(1, -1)
+    b = np.asarray(b, dtype=complex).reshape(1, -1)
+    return float(_chord_angles(a, b)[0])
 
 
 def loop_distance(loop: Loop) -> float:
@@ -162,7 +168,7 @@ def loop_distance(loop: Loop) -> float:
 
 def loop_berry_phase(loop: Loop) -> float:
     """Pancharatnam phase -arg prod_j <psi_j|psi_{j+1}> in (-pi, pi]."""
-    return _berry_phase(loop.states, loop._overlaps)
+    return _berry_phase(loop._overlaps[1])
 
 
 def bloch_vectors(states: np.ndarray) -> np.ndarray:

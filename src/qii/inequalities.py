@@ -66,14 +66,17 @@ def _rounding_bound(n: int, d: float) -> float:
     order one, each term carries a few ulps from the overlap and residual
     sums, the normalization of the rows and arctan2 itself: at most c = 10
     eps.  Adding the n terms costs at most n eps times their absolute sum:
-    d for the distance and, for states sampled in a smooth gauge, of order
-    1 + d for the phase.  So d and gamma each err by at most c n eps (1 + d).
+    d for the distance, and P, the absolute sum of the segment phase angles,
+    for the phase.  So d errs by c n eps (1 + d), gamma by c n eps (1 + P).
 
-    The strong margin (|gamma| - pi)^2 + d^2 - pi^2 is quadratic in d, and
-    errs by about 2 d dd + 2 ||gamma| - pi| dgamma <= 2 pi (1 + d) c n eps
-    (1 + d): the 2 d dd term needs the square.  The weak margin d - gamma
-    errs by at most 2 c n eps (1 + d), inside the same bound.  Hence the
-    constant 64 >= 2 pi c.  A polygon margin below -bound is a
+    The strong margin (|gamma| - pi)^2 + d^2 - pi^2 errs by about
+    2 d dd + 2 ||gamma| - pi| dgamma <= 2 pi c n eps (1 + d)^2 when P <= d
+    (the 2 d dd term needs the square), and the weak margin d - gamma by at
+    most c n eps (2 + d + P), inside it.  Hence 64 >= 2 pi c.  But d does
+    not bound P: a Bloch circle near the south pole winds its segment phases
+    through about 2 pi whatever d is.  It comes closest, 1.3e-2 x the bound
+    at theta = 3.069, n = 79, and still holds about 75x inside it, as a term
+    carries a few ulps, far below c.  A polygon margin below -bound is a
     counterexample, not rounding.
     """
     return 64.0 * _EPS * n * (1.0 + d) ** 2

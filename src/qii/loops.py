@@ -413,18 +413,16 @@ def _split_states(states: np.ndarray, tol: float, out: list):
         stack.append((members[j:k], at + 1, mid))
 
 
-def split_self_intersections(loop: Loop, tol: float = TOL.split) -> list[Loop]:
+def split_self_intersections(loop: Loop) -> list[Loop]:
     """Break a self-intersecting loop into simple sub-loops.
 
-    Splits greedily at the first coincident index pair, then splits the
-    pieces the same way; the returned sub-loops together retrace the
-    original loop.
+    Splits greedily at the first index pair that coincides within
+    TOL.split, then splits the pieces the same way; the returned sub-loops
+    together retrace the original loop.
     Returns [loop] unchanged when no coincidence is found.
     """
-    if tol <= 0:
-        raise OutOfRange("coincidence tolerance must be positive")
     parts: list[np.ndarray] = []
-    _split_states(loop.states, tol, parts)
+    _split_states(loop.states, TOL.split, parts)
     if len(parts) == 1:
         return [loop]
     return [Loop(p) for p in parts]

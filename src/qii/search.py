@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import DegenerateSpec, OutOfRange
-from .geometry import (_overlap_pass, _scalars, loop_berry_phase, principal_phase,
-                       summarize)
+from .errors import DegenerateSpec, IllConditionedSegment, OutOfRange
+from .geometry import _gated_pass, _scalars, loop_berry_phase, principal_phase, summarize
 from .inequalities import _strong_margin, strong_qii
 from .loops import (FourierLoopSpec, _split_states, bloch_circle, check_fourier_shape,
                     check_seed, fourier_loop, fourier_states, perturb_circle,
@@ -84,13 +83,13 @@ def qii_objective(spec: FourierLoopSpec) -> float:
 
 
 def _margin(states: np.ndarray) -> float:
-    """`qii_objective` of sampled states.  The cyclic overlaps of the full
-    loop and their moduli gate it and, when it does not split, give its
-    distance and phase as well."""
-    overlaps = _overlap_pass(states)
-    low = overlaps[2].min()
-    if low <= TOL.segment_overlap:
-        raise DegenerateSpec(f"consecutive overlap {low:.3e} too small")
+    """`qii_objective` of sampled states.  The full loop's gated overlap
+    pass rejects it as `fourier_loop` does and, when it does not split,
+    gives its distance and phase as well."""
+    try:
+        overlaps = _gated_pass(states)
+    except IllConditionedSegment as exc:
+        raise DegenerateSpec(str(exc)) from None
     parts: list[np.ndarray] = []
     _split_states(states, TOL.split, parts)
     scalars = [_scalars(states, overlaps)] if parts[0] is states else map(_scalars, parts)

@@ -15,7 +15,7 @@ from qii.errors import (BadResolution, DimensionMismatch, OutOfRange,
                         WrongDimension, ZeroVector)
 from qii.geometry import Chart, Loop, _as_cvector, projector, qgt_at
 from qii.inequalities import plane_check, sphere_check
-from qii.loops import bloch_circle, perturb_circle, refine, split_self_intersections
+from qii.loops import bloch_circle, perturb_circle, refine
 from qii.models import ModelSpec, bloch_table
 
 PACKAGE = Path(qii.__file__).parent
@@ -98,10 +98,6 @@ def _circle_map(lam):
     (lambda: perturb_circle(1.0, -0.1, 2, 64), OutOfRange, "eps >= 0 and mode >= 1"),
     (lambda: perturb_circle(1.0, 0.1, 0, 64), OutOfRange, "eps >= 0 and mode >= 1"),
     (lambda: refine(bloch_circle(1.0, 16), 1), BadResolution, "factor must be >= 2"),
-    (lambda: split_self_intersections(bloch_circle(1.0, 16), 0.0), OutOfRange,
-     "tolerance must be positive"),
-    (lambda: split_self_intersections(bloch_circle(1.0, 16), -1e-7), OutOfRange,
-     "tolerance must be positive"),
     (lambda: ModelSpec("nope"), OutOfRange, "unknown model kind 'nope'"),
     (lambda: bloch_table([0.0, 1.0], np.ones((2, 2))), WrongDimension, "(n, 3) Bloch vectors"),
     (lambda: bloch_table([[0.0, 1.0]], np.ones((2, 3))), WrongDimension,
@@ -109,7 +105,7 @@ def _circle_map(lam):
 ], ids=["loop-1d", "chart-step-0", "chart-step-neg", "cvector-2d", "projector-unnormalized",
         "qgt-parameter-count", "plane-perimeter", "plane-area", "sphere-radius",
         "sphere-perimeter", "sphere-area", "perturb-eps", "perturb-mode", "refine-factor-1",
-        "split-tol-0", "split-tol-neg", "model-kind", "table-vectors", "table-k-2d"])
+        "model-kind", "table-vectors", "table-k-2d"])
 def test_input_rules_raise_their_typed_errors(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

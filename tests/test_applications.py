@@ -227,8 +227,9 @@ def _random_drive(rng, m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_evolve_matches_stepwise_loop(m):
-    # the same RK4 steps give the same states bit for bit; Delta E and the
-    # accumulated length, batched after the loop, agree to rounding
+    # the same RK4 steps give the same states bit for bit; Delta E, batched
+    # after the loop, agrees to rounding, and the accumulated length sums
+    # the chord angles that the oracle's segment_distance steps take
     rng = np.random.default_rng(20 + m)
     for _ in range(3):
         h_of_t = _random_drive(rng, m)
@@ -237,7 +238,7 @@ def test_evolve_matches_stepwise_loop(m):
         states, dvar, d_acc = stepwise_evolve(h_of_t, psi0, 3.0, 2000)
         assert traj.states.tobytes() == states.tobytes()
         np.testing.assert_allclose(traj.energies_var, dvar, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(traj.d_accum, d_acc, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.d_accum, d_acc, rtol=0, atol=1e-15)
         assert traj.d_accum[-1] > 1.0
 
 
@@ -320,6 +321,13 @@ def test_random_model_rejects_a_gap_ratio_outside_unit_interval(ratio):
     ks = np.linspace(0.0, 2.0 * np.pi, 64)
     np.testing.assert_array_equal(models.bloch(random_gapped_bloch_spec(rng), ks),
                                   models.bloch(random_gapped_bloch_spec(3, gap_ratio=0.25), ks))
+
+
+def test_random_model_gives_up_on_a_gap_ratio_no_draw_reaches():
+    # about 1 draw in 4000 clears 0.8 and none of 20 000 cleared 0.9, so the
+    # draws are capped instead of looping for good
+    with pytest.raises(OutOfRange, match="none of 10000 draws reached gap ratio 0.95"):
+        random_gapped_bloch_spec(0, gap_ratio=0.95)
 
 
 @pytest.mark.parametrize("seed", [-3, np.int64(-1)])

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import (brute_berry_phase, brute_distance, cap_area,
                      roll_berry_phase, roll_distance)
+from qii import search
 from qii.config import TOL
-from qii.errors import IllConditionedSegment, WrongDimension, ZeroVector
+from qii.errors import DegenerateSpec, IllConditionedSegment, WrongDimension, ZeroVector
 from qii.geometry import (Chart, Loop, _scalars, bloch_solid_angle, bloch_vectors,
                           loop_berry_phase, loop_distance, normalize, principal_phase,
                           projector, qgt_at, segment_distance, summarize)
@@ -285,16 +288,19 @@ def test_one_pass_scalars_match_roll_oracle_bit_for_bit():
 
 def test_half_loop_phase_gate_is_the_loop_gate():
     # the half loop opens with |<a|c>| = 1e-9 exactly, which Loop rejects;
-    # its phase is rejected at the same overlap, so summarize falls back to
-    # the distance-only estimate
+    # _scalars and the search objective reject it by the same gate and
+    # message, so summarize falls back to the distance-only estimate
     a, c, e = np.array([1.0, 0.0]), np.array([1e-9, 1.0]), normalize([1, 1j])
     rows = np.array([a, normalize(a + c), c, normalize(c + e), e, normalize(e + a)])
     half = rows[::2]
     assert abs(np.vdot(a, c)) == TOL.segment_overlap
-    with pytest.raises(IllConditionedSegment):
+    message = re.escape("consecutive overlap 1.000e-09 below 1e-09 at segment 0")
+    with pytest.raises(IllConditionedSegment, match=message):
         Loop(half)
-    with pytest.raises(IllConditionedSegment):
+    with pytest.raises(IllConditionedSegment, match=message):
         _scalars(half)
+    with pytest.raises(DegenerateSpec, match=message):
+        search._margin(half)
     s = summarize(Loop(rows))
     assert s.convergence_est == abs(s.d_fs - roll_distance(half))
 
