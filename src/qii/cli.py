@@ -18,7 +18,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import __version__
 from .applications import (adiabatic_cone_demo, check_cone_angle, check_pairing,
                            check_period_ratio, check_steps, eph_bound_chain,
                            superfluid_weight_1d, wannier_bound_chain)
-from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector
+from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector, file_errors
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_angle,
@@ -109,42 +110,36 @@ class _Row(list):
     violated = False
 
 
-def _verify_rows(params):
-    m, k, n, seed, indices, strong = params
-    rows = []
-    for i in indices:
-        _, loop = _loop_for_index(m, k, n, seed, i)
-        s = summarize(loop)
-        weak = weak_qii(s)
-        row = _Row([i, s.d_fs, s.gamma_b, weak.margin, weak.inputs["margin_abs"],
-                    s.convergence_est])
-        reports = [weak]
-        if strong:
-            parts = split_self_intersections(loop)
-            subs = [s] if parts[0] is loop else map(summarize, parts)
-            strongs = [strong_qii(p, conjecture=m > 2) for p in subs]
-            row += [min(r.margin for r in strongs), len(parts)]
-            reports += strongs
-        row.violated = any(r.violated for r in reports)
-        rows.append(row)
-    return rows
+def _verify_row(m, k, n, seed, strong, i):
+    _, loop = _loop_for_index(m, k, n, seed, i)
+    s = summarize(loop)
+    weak = weak_qii(s)
+    row = _Row([i, s.d_fs, s.gamma_b, weak.margin, weak.inputs["margin_abs"],
+                s.convergence_est])
+    reports = [weak]
+    if strong:
+        parts = split_self_intersections(loop)
+        subs = [s] if parts[0] is loop else map(summarize, parts)
+        strongs = [strong_qii(p, conjecture=m > 2) for p in subs]
+        row += [min(r.margin for r in strongs), len(parts)]
+        reports += strongs
+    row.violated = any(r.violated for r in reports)
+    return row
 
 
 def run_weak_suite(m, n_loops, k, n, seed, strong=False, workers=1):
-    """Margins of n_loops random Fourier loops; returns the row list."""
-    indices = list(range(n_loops))
+    """Margins of n_loops random Fourier loops; returns the row list in index
+    order.  With workers > 1 each worker process takes a contiguous block of
+    loop indices, and the rows are byte-identical to a serial run's."""
+    row = partial(_verify_row, m, k, n, seed, strong)
     if workers <= 1:
-        return _verify_rows((m, k, n, seed, indices, strong))
+        return [row(i) for i in range(n_loops)]
     # imported here: the process-pool modules add about 1 MB of resident
     # memory that a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
-    chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_verify_rows,
-                              [(m, k, n, seed, c, strong) for c in chunks]))
-    rows = [row for part in parts for row in part]
-    rows.sort(key=lambda r: r[0])
-    return rows
+        return list(pool.map(row, range(n_loops),
+                             chunksize=max(1, ceil(n_loops / workers))))
 
 
 def _cmd_verify(args) -> int:
@@ -223,7 +218,8 @@ _MODEL_FLAGS = {
 
 def _model_from_args(args):
     if getattr(args, "model_json", None):
-        return model_from_json(Path(args.model_json).read_text(encoding="utf-8"))
+        with file_errors(args.model_json):
+            return model_from_json(Path(args.model_json).read_text(encoding="utf-8"))
     if getattr(args, "table_csv", None):
         return bloch_table_from_csv(args.table_csv, a=args.a)
     flags = _MODEL_FLAGS[args.model]

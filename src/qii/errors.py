@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import csv
+from contextlib import contextmanager
+
 
 class QiiError(Exception):
     """Base class for all library errors."""
@@ -63,3 +66,12 @@ class NormDrift(QiiError):
 
 class SingularAtDiracPoint(QiiError):
     """Closed-form metric evaluated at k = 0."""
+
+
+@contextmanager
+def file_errors(path):
+    """Re-raise a parse error inside (bytes, JSON, number, CSV line) as OutOfRange naming `path`."""
+    try:
+        yield
+    except (ValueError, csv.Error) as exc:
+        raise OutOfRange(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ import numpy as np
 from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
-                     ZeroVector)
+                     ZeroVector, file_errors)
 from .geometry import _COLUMN_MAJOR_BELOW, Loop, _row_norms
 
 __all__ = [
@@ -448,19 +448,24 @@ def save_loop(path, loop: Loop, generator: str = "", parameters: dict | None = N
 
 
 def load_loop(path) -> tuple[Loop, dict]:
-    """Read a loop written by save_loop; rows are renormalized."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValueError("missing JSON header line")
-        meta = json.loads(first[1:].strip())
-        fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise EmptyInput(f"{path}: loop file has no data rows")
-    data = np.array([[float(x) for x in row[1:]] for row in rows])
-    if data.shape[1] % 2:
-        raise WrongDimension(f"{path}: loop rows must hold re/im pairs")
+    """Read a loop written by save_loop; rows are renormalized.  A file that
+    is not one raises a QiiError naming it."""
+    with file_errors(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                raise OutOfRange(f"{path}: missing JSON header line")
+            meta = json.loads(first[1:].strip())
+            fh.readline()  # column names
+            rows = [line.strip().split(",")[1:] for line in fh if line.strip()]
+        if not rows:
+            raise EmptyInput(f"{path}: loop file has no data rows")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise WrongDimension(f"{path}: loop rows must all hold the same number of values")
+        if width == 0 or width % 2:
+            raise WrongDimension(f"{path}: loop rows must hold re/im pairs")
+        data = np.array([[float(x) for x in row] for row in rows])
     bad = f"{path}: a row has zero or non-finite amplitudes"
     if not np.isfinite(data).all():   # before inf * 1j makes a nan
         raise ZeroVector(bad)

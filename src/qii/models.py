@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import (BadResolution, DegenerateAtTolerance, EmptyInput, NonFiniteDerivative,
-                     OutOfRange, SingularAtDiracPoint, WrongDimension)
+                     OutOfRange, SingularAtDiracPoint, WrongDimension, file_errors)
 from .geometry import Chart, Loop
 
 __all__ = [
@@ -119,14 +119,16 @@ def bloch_table(k, vectors, a: float = 1.0) -> ModelSpec:
 
 
 def bloch_table_from_csv(path, a: float = 1.0) -> ModelSpec:
-    """Read a (k, nx, ny, nz) table written with a header row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r][1:]
-    if not rows:
-        raise EmptyInput(f"{path}: Bloch table has no data rows")
-    if any(len(r) != 4 for r in rows):
-        raise WrongDimension(f"{path}: Bloch table rows must hold 4 values (k, nx, ny, nz)")
-    data = np.array([[float(x) for x in r] for r in rows])
+    """Read a (k, nx, ny, nz) table written with a header row.  A file that
+    is not one raises a QiiError naming it."""
+    with file_errors(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r][1:]
+        if not rows:
+            raise EmptyInput(f"{path}: Bloch table has no data rows")
+        if any(len(r) != 4 for r in rows):
+            raise WrongDimension(f"{path}: Bloch table rows must hold 4 values (k, nx, ny, nz)")
+        data = np.array([[float(x) for x in r] for r in rows])
     return bloch_table(data[:, 0], data[:, 1:], a)
 
 

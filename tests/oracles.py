@@ -6,6 +6,8 @@ complex product, spherical areas from l'Huilier's formula, and two-level
 dynamics from the closed-form matrix exponential.  The band-structure
 oracles evaluate one k point at a time, through the model's Hamiltonian
 and the generic chart path, never through the batched k-array code.
+Spin-j coherent-state circles come with their polygon's length and phase
+in closed form.
 The np.roll overlap pass, the row-major Fourier sampler, the Gram-matrix
 splitter, the list-based simplex, the bound chains composed of the
 public model functions and the two-outer Fourier Bloch map, elementwise
@@ -92,6 +94,32 @@ def spherical_polygon_area(n, theta, radius=0.5) -> float:
         c = great_circle_arc(verts[i], verts[(i + 1) % n])
         total += lhuilier_area(a, b, c)
     return radius**2 * total
+
+
+def spin_coherent_circle(two_j, theta, n) -> np.ndarray:
+    """n equally spaced spin-j coherent states at polar angle theta: amplitude
+    p = 0..2j is sqrt(C(2j, p)) cos(theta/2)^(2j-p) sin(theta/2)^p e^(i p phi)."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    p = np.arange(two_j + 1)
+    amps = np.array([math.sqrt(math.comb(two_j, q)) * c ** (two_j - q) * s**q for q in p])
+    return amps * np.exp(1j * np.outer(2.0 * np.pi * np.arange(n) / n, p))
+
+
+def spin_coherent_polygon(two_j, theta, n):
+    """Closed-form (d_n, gamma_n) of the geodesic n-gon through spin_coherent_circle.
+
+    Consecutive states overlap by (c^2 + s^2 e^(2 pi i/n))^(2j), c = cos(theta/2)
+    and s = sin(theta/2), whose squared modulus is (1 - sin^2 theta sin^2(pi/n))^(2j).
+    Each chord is the asin of the square root of one minus that, written with
+    expm1 and log1p: an arccos of the modulus loses digits at large n.  gamma_n
+    is the principal value of -2j n arg(c^2 + s^2 e^(2 pi i/n)).
+    """
+    c2, s2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
+    x = (math.sin(theta) * math.sin(math.pi / n)) ** 2
+    d = n * math.asin(math.sqrt(-math.expm1(two_j * math.log1p(-x))))
+    step = 2.0 * math.pi / n
+    gamma = -two_j * n * math.atan2(s2 * math.sin(step), c2 + s2 * math.cos(step))
+    return d, math.remainder(gamma, 2.0 * math.pi)
 
 
 def two_level_propagator(h, t) -> np.ndarray:

@@ -163,14 +163,20 @@ def test_verify_retries_a_degenerate_spec_then_exits_2(tmp_path, monkeypatch, ca
 
 
 
-def test_verify_workers_match_serial(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--strong"]], ids=["weak", "strong"])
+def test_verify_workers_match_serial(tmp_path, monkeypatch, flags):
+    # m = 2 loops split, so --strong sends sub-loop columns and verdicts
+    # across process boundaries
     serial, parallel = tmp_path / "s", tmp_path / "p"
-    main(["verify", "--m", "2", "--loops", "16", "--n", "256", "--seed", "3",
-          "--out", str(serial)])
+    argv = ["verify", "--m", "2", "--loops", "16", "--n", "256", "--seed", "3", *flags]
+    assert main([*argv, "--out", str(serial)]) == 0
     monkeypatch.setenv("QII_THREADS", "2")
-    main(["verify", "--m", "2", "--loops", "16", "--n", "256", "--seed", "3",
-          "--out", str(parallel)])
-    assert (serial / "margins.csv").read_text() == (parallel / "margins.csv").read_text()
+    assert main([*argv, "--out", str(parallel)]) == 0
+    assert (serial / "margins.csv").read_bytes() == (parallel / "margins.csv").read_bytes()
+
+
+def test_verify_workers_with_no_loops_return_no_rows():
+    assert cli.run_weak_suite(2, 0, 2, 64, 0, workers=2) == []
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "", "1.5"])
@@ -560,6 +566,20 @@ def _table_csv_with_extra_column(path):
     return ["models", "--table-csv", str(path)]
 
 
+def _input_file(content, *command):
+    """argv of `command` given a file holding `content`, text or bytes."""
+    def argv(path):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return [*command, str(path)]
+    return argv
+
+
+_LOOP_HEAD = '# {"m": 2, "n": 3}\nindex,re_0,im_0,re_1,im_1\n'
+
+
 def _model_json(text):
     def argv(path):
         path.write_text(text)
@@ -572,6 +592,27 @@ def _model_json(text):
     (_loop_csv_with_zero_row, "zero or non-finite"),
     (_loop_csv_with_infinite_amplitude, "zero or non-finite"),
     (_loop_csv_with_odd_columns, "re/im pairs"),
+    # a malformed file raises a typed error that names it ("input")
+    (_input_file(_LOOP_HEAD + "0\n1\n2\n", "loop-io", "import"),
+     "input: loop rows must hold re/im pairs"),
+    (_input_file(_LOOP_HEAD + "0,1,0,0,0\n1,1,0\n2,0,0,1,0\n", "loop-io", "import"),
+     "input: loop rows must all hold the same number of values"),
+    (_input_file(_LOOP_HEAD + "0,1,0,0,0\n1,abc,0,1,0\n2,0,0,1,0\n", "loop-io", "import"),
+     "input: could not convert string to float: 'abc'"),
+    (_input_file('# {"m": 2\nindex,re_0,im_0\n0,1,0\n', "loop-io", "import"), "input: Expecting"),
+    (_input_file("index,re_0,im_0\n0,1,0\n", "loop-io", "import"),
+     "input: missing JSON header line"),
+    (_input_file(_LOOP_HEAD.encode() + b"0,1,0,0,0\n1,\xff,0,1,0\n", "loop-io", "import"),
+     "input: 'utf-8' codec can't decode"),
+    (_input_file("k,nx,ny,nz\n0,1,0,x\n", "models", "--table-csv"),
+     "input: could not convert string to float: 'x'"),
+    (_input_file(b"k,nx,ny,nz\n0,1,0,\xff\n", "models", "--table-csv"),
+     "input: 'utf-8' codec can't decode"),
+    (_input_file("k,nx,ny,nz\n" + "1" * 200_000 + ",0,0,1\n", "models", "--table-csv"),
+     "input: field larger than field limit"),
+    (_input_file('{"kind": "ssh"', "models", "--model-json"), "input: Expecting"),
+    (_input_file(b'{"kind": "\xff"}', "models", "--model-json"),
+     "input: 'utf-8' codec can't decode"),
     (_table_csv_without_rows, "no data rows"),
     (_table_csv_with_extra_column, "4 values"),
     (_model_json('{"kind": "ssh", "parameters": {}}'), "'v'"),

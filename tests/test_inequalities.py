@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (cap_area, cap_perimeter, scalars_longdouble, spherical_polygon_area,
-                     spherical_polygon_perimeter)
+                     spherical_polygon_perimeter, spin_coherent_circle, spin_coherent_polygon)
 from qii import geometry
 from qii.errors import AreaExceedsSphere, EmptyInput, IllConditionedSegment
 from qii.geometry import (Loop, aggregate_summary, loop_berry_phase, loop_distance,
@@ -255,6 +255,25 @@ def test_strong_margin_within_rounding_on_great_circles():
         for n in (8 * turns, 64 * turns, 200 * turns):
             least = _assert_polygon_margins(great_circle(rng.normal(size=3), n, turns=turns))
             assert abs(least) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.2, 2.9])
+@pytest.mark.parametrize("two_j", [2, 3, 4])
+def test_spin_coherent_circles_match_their_closed_form(two_j, theta):
+    # spin-j coherent-state circles in CP^2j: the chord sums are the closed-form
+    # polygon values to within the rounding bound, and tend to the smooth
+    # circle's sqrt(2j) pi sin(theta) and -2j pi (1 - cos(theta)) mod 2 pi
+    for n in (64, 4096, 16384):
+        s = summarize(Loop(spin_coherent_circle(two_j, theta, n)))
+        d_n, gamma_n = spin_coherent_polygon(two_j, theta, n)
+        bound = _rounding_bound(n, d_n)
+        assert abs(s.d_fs - d_n) <= bound
+        assert abs(principal_phase(s.gamma_b - gamma_n)) <= bound
+    assert abs(s.d_fs - np.sqrt(two_j) * np.pi * np.sin(theta)) < 1e-6
+    assert abs(principal_phase(s.gamma_b + two_j * np.pi * (1 - np.cos(theta)))) < 1e-6
+    if two_j == 2:   # the j = 1 margin; (1 - cos(theta))^2 holds only for theta <= pi/2
+        margin = strong_qii(s).margin
+        assert abs(margin - 2 * np.pi**2 * (1 - abs(np.cos(theta))) ** 2) < 1e-6
 
 
 @pytest.mark.parametrize("turns", [1, 2])
