@@ -106,10 +106,10 @@ def _grid_mean(g) -> float:
 
 def _band_chain(spec: ModelSpec, band: str, n_k: int):
     """(wannier_omega1, d_fs, gamma_b of bz_loop(...), |n(k)| on its momenta) from
-    one band_geometry call; d and gamma read the overlap pass of Loop's gate."""
+    one band_geometry call; d and gamma read the overlap pass of its band
+    loop's segment gate."""
     check_1d_model(spec, "Wannier")
-    states, g, norm = band_geometry(spec, bz_grid(spec, n_k), band)
-    loop = Loop(states)
+    loop, g, norm = band_geometry(spec, bz_grid(spec, n_k), band)
     return _grid_mean(g), loop_distance(loop), loop_berry_phase(loop), norm
 
 
@@ -254,8 +254,7 @@ def eph_bound_chain(spec: ModelSpec, e_f: float, n: int = 512) -> BoundChain:
     """
     k_f, directions = _fermi_circle(spec, e_f, n)
     n_eff, l_fs = len(directions), 2.0 * np.pi * k_f
-    states, g, _ = band_geometry(spec, k_f * directions, "upper")
-    loop = Loop(states)
+    loop, g, _ = band_geometry(spec, k_f * directions, "upper")
     that = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
     trace_int = np.trace(g, axis1=1, axis2=2).sum() * l_fs / n_eff
     tangential_int = np.einsum("ni,nij,nj->", that, g, that) * l_fs / n_eff
@@ -290,7 +289,8 @@ def superfluid_weight_1d(spec: ModelSpec, u: float, nu: float,
             ("D_s", 0.0), ("d_fs^2 bound", 0.0), ("gamma_b^2 bound", 0.0),
         ), unit="energy*length", notes=tuple(notes))
     omega1, d_fs, gamma_b, upper = _band_chain(spec, "lower", n_k)   # E_+ = |n(k)|
-    if upper.max() - upper.min() > 1e-9 * max(upper.max(), 1e-30):
+    top = upper.max()
+    if top - upper.min() > 1e-9 * max(top, 1e-30):
         notes.append("dispersive bands: flat-band formula used as a diagnostic")
     integral = omega1 * 2.0 * np.pi / spec.a
     factor = u * nu * (1.0 - nu)

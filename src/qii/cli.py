@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 scientific violation or
 propagated computation error -- so CI can gate on inequality violations.
 A run builds every input it reads (model, loop, chain, search configs)
 before it writes anything, then writes a manifest.json echoing the fully
-resolved configuration, the seed, and the package version, which is
-sufficient to reproduce the run bit-identically; only verify's loops and
-search's evaluations run after it.  The environment variable QII_THREADS
-caps the verify worker count; the entries of a JSON --config file are
-parsed as the same flags, which typed flags override.
+resolved configuration, the seed, the package version and the thread
+variables as read from the environment, which is sufficient to reproduce
+the run bit-identically; only verify's loops and search's evaluations run
+after it.  The environment variable QII_THREADS caps the verify worker
+count; the entries of a JSON --config file are parsed as the same flags,
+which typed flags override.
 """
 
 import argparse
@@ -70,12 +71,18 @@ def _write_csv(path, header, rows):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+# recorded, never set: BLAS threading can stall pooled runs (see the README)
+_THREAD_VARIABLES = ("QII_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
 def _prepare_outdir(args, command) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = {key: str(val) if isinstance(val, Path) else val
               for key, val in sorted(vars(args).items()) if key != "command"}
-    manifest = {"command": command, "config": config, "version": __version__}
+    manifest = {"command": command, "config": config, "version": __version__,
+                "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES}}
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return out

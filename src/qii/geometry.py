@@ -58,8 +58,7 @@ class Loop:
         arr = np.asarray(self.states, dtype=complex)
         if arr.ndim != 2:
             raise WrongDimension(f"loop states must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 3:
-            raise IllConditionedSegment("a loop needs at least 3 states")
+        _check_size(arr)
         if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
             raise ZeroVector("loop states must be normalized")
         overlaps = _gated_pass(arr)
@@ -67,6 +66,20 @@ class Loop:
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "_overlaps", overlaps)
+
+    @classmethod
+    def _of_unit_rows(cls, states: np.ndarray) -> "Loop":
+        """The loop of a fresh (n, M) complex array whose rows are unit by
+        construction (the band spinors): the size rule and the segment gate
+        run, the row-norm check and the copy do not, and the array is made
+        read-only in place, so no caller may keep writing to it."""
+        _check_size(states)
+        overlaps = _gated_pass(states)
+        states.setflags(write=False)
+        loop = object.__new__(cls)
+        object.__setattr__(loop, "states", states)
+        object.__setattr__(loop, "_overlaps", overlaps)
+        return loop
 
     @property
     def n(self) -> int:
@@ -94,6 +107,12 @@ class LoopSummary:
     gamma_total: float
     n_segments: int
     convergence_est: float
+
+
+def _check_size(states: np.ndarray):
+    """Loop's size rule: a cyclic path needs at least 3 states."""
+    if states.shape[0] < 3:
+        raise IllConditionedSegment("a loop needs at least 3 states")
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -280,6 +280,9 @@ def _gated_bloch(spec: ModelSpec, ks, stencil: bool = False):
     return n, norm, rho
 
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
 def _spinors(n, r, rho, band: str) -> np.ndarray:
     """States of one band from gated Bloch vectors n with norms r and in-plane
     norms rho; see band_states."""
@@ -295,7 +298,13 @@ def _spinors(n, r, rho, band: str) -> np.ndarray:
     cos = np.sqrt(np.where(north, big, small) / r)
     sin = np.sqrt(np.where(north, small, big) / r)
     phase = np.ones(len(r), dtype=complex)
-    np.divide(x + 1j * y, rho, out=phase, where=rho > 0.0)
+    normal = rho >= _SMALLEST_NORMAL   # 1 / rho is finite
+    np.divide(x + 1j * y, rho, out=phase, where=normal)
+    if not normal.all():   # poles keep 1; a subnormal rho, where the complex
+        # division overflows and rho has lost digits, is rescaled exactly first
+        sub = ~normal & (rho > 0.0)
+        xs, ys = x[sub] * 2.0**600, y[sub] * 2.0**600
+        phase[sub] = (xs + 1j * ys) / np.hypot(xs, ys)
     a, b = (sin, -cos) if _BAND_INDEX[band] == 0 else (cos, sin)   # state (a, e^{ip} b)
     lead = a > TOL.gauge_zero   # else the second entry is made real positive
     states = np.empty((len(r), 2), dtype=complex)
@@ -361,13 +370,19 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
 
 
 def band_geometry(spec: ModelSpec, ks, band: str = "lower"):
-    """(band_states, metric_grid, |n|) at ks from one gated Bloch evaluation
-    on the stacked k, k +- h e_i, the metric formed first; |n| is E_+(k)."""
+    """(loop, metric_grid, |n|) at ks from one gated Bloch evaluation on the
+    stacked k, k +- h e_i, the metric formed first; |n| is E_+(k).
+
+    The loop's states are band_states(spec, ks, band) bit for bit, so ks must
+    trace a closed path: fewer than 3 momenta, or consecutive states below
+    the segment gate, raise IllConditionedSegment as Loop does.  The spinor
+    rows are unit by construction, so the loop skips Loop's row-norm check.
+    """
     _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
     n, norm, rho = _gated_bloch(spec, ks, stencil=True)
     g = _metric(n, norm, spec.dim_k)
     m = len(g)   # the centre rows
-    return _spinors(n[:m], norm[:m], rho[:m], band), g, norm[:m]
+    return Loop._of_unit_rows(_spinors(n[:m], norm[:m], rho[:m], band)), g, norm[:m]
 
 
 def bz_grid(spec: ModelSpec, n: int) -> np.ndarray:

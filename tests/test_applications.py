@@ -13,8 +13,8 @@ from qii.applications import (BoundChain, adiabatic_cone_demo, eph_bound_chain,
                               speed_limit_report, superfluid_weight_1d,
                               wannier_bound_chain, wannier_omega1)
 from qii.config import TOL
-from qii.errors import (BadResolution, DegenerateAtTolerance, NonFiniteDerivative,
-                        NormDrift, NotCyclic, OutOfRange, QiiError)
+from qii.errors import (BadResolution, DegenerateAtTolerance, IllConditionedSegment,
+                        NonFiniteDerivative, NormDrift, NotCyclic, OutOfRange, QiiError)
 from qii.geometry import Loop, aggregate_summary, summarize
 from qii.loops import split_self_intersections
 from qii.models import (band_states, bloch_table, bz_grid, bz_loop, creutz, dirac,
@@ -555,6 +555,22 @@ def test_eph_chain_errors_are_pinned(monkeypatch, case, e_f, error, message):
     with pytest.raises(error) as info:
         eph_bound_chain(dirac(1.0), e_f, 32)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n_k", [1, 2])
+@pytest.mark.parametrize("chain", [
+    lambda spec, n_k: wannier_bound_chain(spec, n_k=n_k),
+    lambda spec, n_k: wannier_bound_chain(spec, "upper", n_k),
+    lambda spec, n_k: superfluid_weight_1d(spec, 1.0, 0.5, n_k=n_k),
+], ids=["wannier", "wannier-upper", "superfluid"])
+@pytest.mark.parametrize("spec", [ssh(2, 1), creutz(1.0), random_gapped_bloch_spec(5)],
+                         ids=lambda s: s.kind)
+def test_1d_chains_on_grids_too_short_for_a_loop_are_pinned(spec, chain, n_k):
+    # the band loop keeps Loop's size rule: d and gamma of one or two states
+    # are no loop scalars
+    with pytest.raises(IllConditionedSegment) as info:
+        chain(spec, n_k)
+    assert str(info.value) == "a loop needs at least 3 states"
 
 
 def test_chains_evaluate_the_bloch_vectors_once(monkeypatch):

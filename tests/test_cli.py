@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import warnings
 from pathlib import Path
@@ -486,6 +487,26 @@ def test_loop_io_writes_a_manifest_into_out(tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "loop-io"
         assert manifest["config"]["action"] == action
+
+
+_THREAD_VARIABLES = ["QII_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"]
+
+
+@pytest.mark.parametrize("values", [["2", "1", "1", "1"], [None, "4", None, "1"],
+                                    [None, None, None, None]], ids=["set", "some", "unset"])
+def test_manifest_records_the_thread_variables(tmp_path, monkeypatch, values):
+    # read from the environment as they are, null when unset, and never set
+    for name, value in zip(_THREAD_VARIABLES, values):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    out = tmp_path / "o"
+    assert main(["loop-io", "export", str(tmp_path / "loop.csv"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == dict(zip(_THREAD_VARIABLES, values))
+    assert [os.environ.get(name) for name in _THREAD_VARIABLES] == values
 
 
 def _models_argv(tmp_path):

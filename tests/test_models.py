@@ -16,8 +16,8 @@ from qii import models
 from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
-from qii.geometry import (bloch_vectors, loop_berry_phase, loop_distance, qgt_at,
-                          summarize)
+from qii.geometry import (Loop, _row_norms, bloch_vectors, loop_berry_phase, loop_distance,
+                          qgt_at, summarize)
 from qii.inequalities import aggregate_subloops
 from qii.loops import load_loop, split_self_intersections
 from qii.models import (band_chart, band_geometry, band_state, band_states, bloch,
@@ -346,12 +346,59 @@ def test_band_states_match_per_k_eigh(spec, band):
 def test_band_geometry_equals_its_three_public_parts(spec, band):
     # the chains' one entry gives band_states, metric_grid and |n(k)| bit for bit
     ks = _k_points(spec, 40)
-    states, g, norm = band_geometry(spec, ks, band)
+    loop, g, norm = band_geometry(spec, ks, band)
     n = bloch(spec, ks)
-    for got, expected in ((states, band_states(spec, ks, band)),
+    for got, expected in ((loop.states, band_states(spec, ks, band)),
                           (g, metric_grid(spec, band, ks)),
                           (norm, np.hypot(np.hypot(n[:, 0], n[:, 1]), n[:, 2]))):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_band_geometry_loop_equals_the_checked_loop(spec, band):
+    # the band loop skips Loop's row-norm check and copy and nothing else:
+    # same bytes and layout, the same scalars, and read-only states
+    ks = _k_points(spec, 40)
+    loop, _, _ = band_geometry(spec, ks, band)
+    checked = Loop(band_states(spec, ks, band))
+    assert loop.states.shape == checked.states.shape
+    assert loop.states.tobytes(order="A") == checked.states.tobytes(order="A")
+    assert loop.states.flags.c_contiguous and checked.states.flags.c_contiguous
+    assert loop_distance(loop) == loop_distance(checked)
+    assert loop_berry_phase(loop) == loop_berry_phase(checked)
+    assert not loop.states.flags.writeable
+
+
+@st.composite
+def _bloch_rows(draw):
+    """Up to 12 Bloch vectors within a factor 10 of one magnitude 1e-150..1e150:
+    on a pole, near one (rho about 1e-200 |n|), in the plane, or anywhere."""
+    magnitude = 10.0 ** draw(st.floats(-150.0, 150.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        where = draw(st.sampled_from(["pole", "near-pole", "in-plane", "anywhere"]))
+        theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
+        rho, z = {"pole": (0.0, 1.0), "near-pole": (10.0 ** draw(st.floats(-201.0, -199.0)), 1.0),
+                  "in-plane": (1.0, 0.0), "anywhere": (np.sin(theta), np.cos(theta))}[where]
+        z *= draw(st.sampled_from([1.0, -1.0]))
+        size = magnitude * draw(st.floats(1.0, 10.0))
+        rows.append([size * rho * np.cos(phi), size * rho * np.sin(phi), size * z])
+    return np.array(rows)
+
+
+@given(_bloch_rows(), st.sampled_from(["lower", "upper"]))
+# a subnormal rho once overflowed the phase's complex division into nan rows
+@example(np.array([[5e-324, 0.0, 1.0], [1e-310, 1e-310, -1.0]]), "lower")
+@settings(max_examples=300, deadline=None)
+def test_band_state_rows_pass_the_loop_norm_rule(vectors, band):
+    # band_geometry's loop skips Loop's row-norm check on this ground: the
+    # closed-form spinors are unit to rounding whatever the Bloch vector
+    ks = 0.5 * np.arange(len(vectors))   # the table's nodes, read back exactly
+    spec = bloch_table(ks, vectors)
+    np.testing.assert_array_equal(bloch(spec, ks), vectors)
+    rows = band_states(spec, ks, band)
+    assert np.all(np.abs(_row_norms(rows) - 1.0) <= TOL.norm)
 
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
