@@ -123,14 +123,11 @@ def _verify_row(m, k, n, seed, strong, i):
     weak = weak_qii(s)
     row = _Row([i, s.d_fs, s.gamma_b, weak.margin, weak.inputs["margin_abs"],
                 s.convergence_est])
-    reports = [weak]
+    row.violated = weak.violated
     if strong:
-        parts = split_self_intersections(loop)
-        subs = [s] if parts[0] is loop else map(summarize, parts)
-        strongs = [strong_qii(p, conjecture=m > 2) for p in subs]
-        row += [min(r.margin for r in strongs), len(parts)]
-        reports += strongs
-    row.violated = any(r.violated for r in reports)
+        subs = _subloop_reports(split_self_intersections(loop), whole=s)
+        row += [min(r.margin for _, _, r in subs), len(subs)]
+        row.violated |= any(w.violated or r.violated for _, w, r in subs)
     return row
 
 
@@ -252,12 +249,14 @@ def _add_model_flags(parser):
                         help="CSV Bloch-vector table (k, nx, ny, nz)")
 
 
-def _subloop_reports(loop, summaries):
-    """(weak, strong) reports of the sub-loop summaries of `loop`, and whether any is
-    violated.  The strong QII is a theorem for every two-band loop, and a split
-    sub-loop of one is a two-band loop, so only M > 2 makes it a conjecture."""
-    reports = [(weak_qii(s), strong_qii(s, conjecture=loop.dim > 2)) for s in summaries]
-    return reports, any(w.violated or s.violated for w, s in reports)
+def _subloop_reports(parts, whole=None):
+    """(summary, weak, strong) of each sub-loop in `parts`, with `whole`, the
+    summary of the loop if made, for a loop that did not split.  The strong QII
+    is a theorem for every two-band loop, and a split sub-loop of one is a
+    two-band loop, so only M > 2 makes it a conjecture."""
+    summaries = [whole] if whole is not None and len(parts) == 1 else map(summarize, parts)
+    conjecture = parts[0].dim > 2
+    return [(s, weak_qii(s), strong_qii(s, conjecture=conjecture)) for s in summaries]
 
 
 def _cmd_models(args) -> int:
@@ -267,11 +266,11 @@ def _cmd_models(args) -> int:
     else:   # a Fermi surface at E_F > 0 lies in the upper band
         band, (loop, _) = "upper", fermi_surface_loop(spec, args.ef, args.nk)
     out = _prepare_outdir(args, "models")
-    summaries = [summarize(p) for p in split_self_intersections(loop)]
-    reports, violated = _subloop_reports(loop, summaries)
+    subs = _subloop_reports(split_self_intersections(loop))
     rows = [[spec.describe(), band, i, s.n_segments, s.d_fs, s.gamma_b,
              wrep.margin, srep.margin, int(srep.saturated)]
-            for i, (s, (wrep, srep)) in enumerate(zip(summaries, reports))]
+            for i, (s, wrep, srep) in enumerate(subs)]
+    summaries = [s for s, _, _ in subs]
     agg = aggregate_summary(summaries)
     rows.append([spec.describe(), band, "aggregate", agg.n_segments, agg.d_fs,
                  agg.gamma_total, agg.d_fs - agg.gamma_total, "", ""])
@@ -285,7 +284,7 @@ def _cmd_models(args) -> int:
                                      title=spec.describe())
     print(f"models: {spec.describe()} d_fs={agg.d_fs:.6f} gamma_b={agg.gamma_total:.6f} "
           f"({len(summaries)} subloop(s))")
-    return 2 if violated else 0
+    return 2 if any(w.violated or s.violated for _, w, s in subs) else 0
 
 
 # ---------------------------------------------------------------- apps
@@ -410,15 +409,13 @@ def _cmd_loop_io(args) -> int:
 
     loop, meta = load_loop(args.file)
     _prepare_outdir(args, "loop-io")
-    parts = split_self_intersections(loop) if args.split else [loop]
-    summaries = [summarize(p) for p in parts]
-    reports, violated = _subloop_reports(loop, summaries)
+    subs = _subloop_reports(split_self_intersections(loop) if args.split else [loop])
     doc = {"meta": meta, "n": loop.n, "dim": loop.dim, "subloops": [{
         "n": s.n_segments, "d_fs": s.d_fs, "gamma_b": s.gamma_b,
         "weak_margin": wrep.margin, "strong_margin": srep.margin,
-    } for s, (wrep, srep) in zip(summaries, reports)]}
+    } for s, wrep, srep in subs]}
     print(json.dumps(doc, sort_keys=True, indent=2))
-    if violated:
+    if any(w.violated or s.violated for _, w, s in subs):
         print(f"loop-io: VIOLATION in {args.file}", file=sys.stderr)
         return 2
     return 0

@@ -15,7 +15,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector, file_errors)
-from .geometry import _COLUMN_MAJOR_BELOW, Loop, _row_norms
+from .geometry import _COLUMN_MAJOR_BELOW, Loop, _chord_angles, _row_norms
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "check_fourier_shape", "bloch_circle", "bloch_states",
@@ -101,27 +101,13 @@ def great_circle(axis, n: int, turns: int = 1) -> Loop:
     return Loop(_vectors_to_states(vecs))
 
 
-def _slerp_vectors(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Great-circle interpolation between unit 3-vectors a, b at fractions ts."""
-    ang = np.arccos(np.clip(np.dot(a, b), -1.0, 1.0))
-    if ang < 1e-12:
-        return np.repeat(a[None, :], len(ts), axis=0)
-    return (np.outer(np.sin((1.0 - ts) * ang), a)
-            + np.outer(np.sin(ts * ang), b)) / np.sin(ang)
-
-
 def spherical_polygon(n_vertices: int, theta: float, n_per_edge: int) -> Loop:
-    """Geodesic polygon with vertices at polar angle theta, equal azimuths."""
+    """Geodesic polygon with corners bloch_states(theta, 2 pi j / n_vertices):
+    `refine` of the corner loop, n_per_edge samples per edge."""
     check_polygon(n_vertices, n_per_edge)
     check_polar_angle(theta)
-    phis = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    verts = np.stack([np.sin(theta) * np.cos(phis),
-                      np.sin(theta) * np.sin(phis),
-                      np.full(n_vertices, np.cos(theta))], axis=1)
-    ts = np.arange(n_per_edge) / n_per_edge
-    pieces = [_slerp_vectors(verts[i], verts[(i + 1) % n_vertices], ts)
-              for i in range(n_vertices)]
-    return Loop(_vectors_to_states(np.concatenate(pieces, axis=0)))
+    corners = Loop(bloch_states(theta, 2.0 * np.pi * np.arange(n_vertices) / n_vertices))
+    return corners if n_per_edge == 1 else refine(corners, n_per_edge)
 
 
 def min_resolution(k: int) -> int:
@@ -232,28 +218,27 @@ def perturb_circle(theta: float, eps: float, mode: int, n: int) -> Loop:
 
 
 def refine(loop: Loop, factor: int) -> Loop:
-    """Insert factor-1 geodesic intermediates per segment.
+    """Insert factor-1 geodesic intermediates per segment of a loop in any CP^{M-1}.
 
     Representatives are phase-aligned so <psi_j|psi_{j+1}> > 0 before
     interpolating; the spherical interpolation then runs along the
-    projective geodesic, keeping the refinement gauge independent.
+    projective geodesic at the chord angles of `loop_distance`, keeping the
+    refinement gauge independent and a geodesic polygon's length exact.
     """
     if factor < 2:
         raise BadResolution("refinement factor must be >= 2")
     states = loop.states
     nxt, ovl, mod = loop._overlaps
     aligned = nxt * np.exp(-1j * np.angle(ovl))[:, None]
-    alpha = np.arccos(np.clip(mod, 0.0, 1.0))[:, None]
+    alpha = _chord_angles(states, nxt, ovl, mod)[:, None]
     tiny = alpha < 1e-12  # degenerate segment: fall back to linear weights
     sin_alpha = np.sin(np.where(tiny, 1.0, alpha))
-    out = np.empty((loop.n, factor, loop.dim), dtype=complex)
-    for step in range(factor):
-        t = step / factor
-        w0 = np.where(tiny, 1.0 - t, np.sin((1.0 - t) * alpha) / sin_alpha)
-        w1 = np.where(tiny, t, np.sin(t * alpha) / sin_alpha)
-        out[:, step, :] = w0 * states + w1 * aligned
-    flat = out.reshape(loop.n * factor, loop.dim)
-    return Loop(flat / np.linalg.norm(flat, axis=1, keepdims=True))
+    t = np.arange(factor) / factor   # (n, factor) weights of every step at once
+    w0 = np.where(tiny, 1.0 - t, np.sin((1.0 - t) * alpha) / sin_alpha)
+    w1 = np.where(tiny, t, np.sin(t * alpha) / sin_alpha)
+    flat = (w0[:, :, None] * states[:, None, :]
+            + w1[:, :, None] * aligned[:, None, :]).reshape(loop.n * factor, loop.dim)
+    return Loop(flat / _row_norms(flat)[:, None])
 
 
 _KEY_SEED = 20250320      # fixed, so the candidate sets are reproducible

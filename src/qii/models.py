@@ -10,8 +10,10 @@ in closed form from the Bloch vectors (no eigendecomposition).
 """
 
 import csv
+import inspect
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,11 +27,15 @@ __all__ = [
     "ModelSpec", "ssh", "creutz", "rhombohedral", "dirac", "fourier_bloch",
     "bloch_table", "model_from_json", "bloch_table_from_csv", "bloch",
     "band_state", "band_states", "band_chart", "metric_grid", "band_geometry",
-    "bz_grid", "bz_loop", "check_fermi_energy", "check_fermi_model", "fermi_surface_loop",
-    "dirac_metric",
+    "bz_grid", "bz_loop", "check_band", "check_fermi_energy", "check_fermi_model",
+    "fermi_surface_loop", "dirac_metric",
 ]
 
-_BAND_INDEX = {"lower": 0, "upper": 1}
+
+def check_band(band: str):
+    """A band is named "lower" or "upper"."""
+    if band not in ("lower", "upper"):
+        raise OutOfRange(f"band must be 'lower' or 'upper', got {band!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise OutOfRange(f"unknown model kind {self.kind!r}")
+        names, given = _param_names(self.kind), set(self.params)
+        for label, keys in (("missing", names - given), ("unknown", given - names)):
+            if keys:
+                raise OutOfRange(f"model {self.kind!r}: {label} parameters {sorted(keys)}")
         if not 0.0 < self.a < np.inf:
             raise OutOfRange("lattice constant must be positive and finite")
         if not all(np.all(np.isfinite(v)) for v in self.params.values()):
@@ -200,6 +210,12 @@ _KINDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _param_names(kind: str) -> frozenset:
+    """The parameter names of a kind: its builder's keyword parameters but a."""
+    return frozenset(inspect.signature(_KINDS[kind].build).parameters) - {"a"}
+
+
 def model_from_json(obj) -> ModelSpec:
     """Build a spec from {kind, parameters, lattice_const} (dict or JSON text).
 
@@ -305,7 +321,7 @@ def _spinors(n, r, rho, band: str) -> np.ndarray:
         sub = ~normal & (rho > 0.0)
         xs, ys = x[sub] * 2.0**600, y[sub] * 2.0**600
         phase[sub] = (xs + 1j * ys) / np.hypot(xs, ys)
-    a, b = (sin, -cos) if _BAND_INDEX[band] == 0 else (cos, sin)   # state (a, e^{ip} b)
+    a, b = (sin, -cos) if band == "lower" else (cos, sin)   # state (a, e^{ip} b)
     lead = a > TOL.gauge_zero   # else the second entry is made real positive
     states = np.empty((len(r), 2), dtype=complex)
     if lead.all():
@@ -337,7 +353,7 @@ def band_states(spec: ModelSpec, ks, band: str = "lower") -> np.ndarray:
     positive.  Raises DegenerateAtTolerance at the first gap closing (e.g.
     the Dirac point, or the SSH critical point v = w at k a = pi).
     """
-    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
+    check_band(band)   # before any Bloch evaluation
     return _spinors(*_gated_bloch(spec, ks), band)
 
 
@@ -364,7 +380,7 @@ def metric_grid(spec: ModelSpec, band: str, ks) -> np.ndarray:
     closing at any of them raises DegenerateAtTolerance naming the first in
     that order.
     """
-    _BAND_INDEX[band]   # checks the name: the metric is the same for both bands
+    check_band(band)   # the metric is the same for both bands
     n, norm, _ = _gated_bloch(spec, ks, stencil=True)
     return _metric(n, norm, spec.dim_k)
 
@@ -378,7 +394,7 @@ def band_geometry(spec: ModelSpec, ks, band: str = "lower"):
     the segment gate, raise IllConditionedSegment as Loop does.  The spinor
     rows are unit by construction, so the loop skips Loop's row-norm check.
     """
-    _BAND_INDEX[band]   # a bad band name fails before any Bloch evaluation
+    check_band(band)   # before any Bloch evaluation
     n, norm, rho = _gated_bloch(spec, ks, stencil=True)
     g = _metric(n, norm, spec.dim_k)
     m = len(g)   # the centre rows

@@ -11,9 +11,9 @@ in closed form.
 The np.roll overlap pass, the row-major Fourier sampler, the Gram-matrix
 splitter, the list-based simplex, the bound chains composed of the
 public model functions and the two-outer Fourier Bloch map, elementwise
-gap gate, where-spinors and full-stack metric and the stepwise RK4 loop
-are earlier implementations, kept so the current ones can be held to them
-bit for bit.
+gap gate, where-spinors and full-stack metric, the stepwise RK4 loop and
+the per-step geodesic refinement are earlier implementations, kept so the
+current ones can be held to them bit for bit.
 """
 
 import cmath
@@ -194,6 +194,27 @@ def row_major_fourier_states(spec) -> np.ndarray:
     np.matmul(basis, spec.coeffs.T, out=states[:, 1:])
     states /= np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))[:, None]
     return states
+
+
+def stepwise_refine(states, factor) -> np.ndarray:
+    """The earlier `refine`: one interpolation step t = s / factor at a time,
+    at the chord angles atan2(|b - a <a|b>|, |<a|b>|) of the segments."""
+    nxt = np.concatenate((states[1:], states[:1]))
+    ovl = np.einsum("ij,ij->i", states.conj(), nxt)
+    resid = nxt - states * ovl[:, None]
+    alpha = np.arctan2(np.sqrt(np.add.reduce((resid.conj() * resid).real, axis=1)),
+                       np.abs(ovl))[:, None]
+    aligned = nxt * np.exp(-1j * np.angle(ovl))[:, None]
+    tiny = alpha < 1e-12
+    sin_alpha = np.sin(np.where(tiny, 1.0, alpha))
+    out = np.empty((len(states), factor, states.shape[1]), dtype=complex)
+    for step in range(factor):
+        t = step / factor
+        w0 = np.where(tiny, 1.0 - t, np.sin((1.0 - t) * alpha) / sin_alpha)
+        w1 = np.where(tiny, t, np.sin(t * alpha) / sin_alpha)
+        out[:, step, :] = w0 * states + w1 * aligned
+    flat = out.reshape(-1, states.shape[1])
+    return flat / np.linalg.norm(flat, axis=1, keepdims=True)
 
 
 def gram_coincidence_pairs(states, tol) -> np.ndarray:

@@ -13,6 +13,7 @@ from oracles import (CHIRAL_OPERATORS, PAULI, chart_metric_grid, elementwise_gat
                      full_stack_metric, hamiltonian, outer_fourier_bloch, per_k_band_states,
                      where_spinors)
 from qii import models
+from qii.applications import wannier_bound_chain, wannier_omega1
 from qii.config import TOL
 from qii.errors import (DegenerateAtTolerance, EmptyInput, OutOfRange, QiiError,
                         SingularAtDiracPoint, WrongDimension)
@@ -304,6 +305,36 @@ def test_builders_reject_bad_parameters():
                   lambda: fourier_bloch([1, 0], [[1, 0, 0]], [[0, 1, 0]])):
         with pytest.raises((OutOfRange, WrongDimension)):
             build()
+
+
+@pytest.mark.parametrize("params, needle", [
+    ({"v": 0.5}, "missing parameters ['w']"),
+    ({"v": 0.5, "w": 1.0, "t": 1.0}, "unknown parameters ['t']"),
+], ids=["missing", "unknown"])
+def test_model_spec_names_a_missing_or_unknown_parameter(params, needle):
+    # the keys are the keyword parameters of the kind's builder, checked at
+    # construction rather than at the first Bloch evaluation
+    with pytest.raises(OutOfRange, match=re.escape(f"model 'ssh': {needle}")):
+        models.ModelSpec("ssh", params)
+
+
+_SSH = ssh(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda band: band_states(_SSH, [0.0, 1.0], band),
+    lambda band: band_state(_SSH, 0.0, band),
+    lambda band: metric_grid(_SSH, band, [0.0, 1.0]),
+    lambda band: band_geometry(_SSH, [0.0, 1.0, 2.0], band),
+    lambda band: bz_loop(_SSH, band, 8),
+    lambda band: wannier_omega1(_SSH, band, 8),
+    lambda band: wannier_bound_chain(_SSH, band, 8),
+], ids=["band_states", "band_state", "metric_grid", "band_geometry", "bz_loop",
+        "wannier_omega1", "wannier_bound_chain"])
+def test_a_bad_band_name_is_out_of_range_before_any_bloch_evaluation(monkeypatch, call):
+    monkeypatch.setattr(models, "bloch", lambda spec, ks: pytest.fail("Bloch evaluated"))
+    with pytest.raises(OutOfRange, match="band must be 'lower' or 'upper', got 'middle'"):
+        call("middle")
 
 
 def test_bloch_rejects_wrong_k_shapes():
