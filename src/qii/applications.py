@@ -56,7 +56,7 @@ class BoundChain:
         return bool(v.max() - v.min() <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fixed-step Schroedinger evolution record.
 

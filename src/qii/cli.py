@@ -33,9 +33,8 @@ from .errors import DegenerateSpec, QiiError, WrongDimension, ZeroVector, file_e
 from .geometry import aggregate_summary, bloch_solid_angle, loop_distance, summarize
 from .inequalities import plane_check, sphere_check, strong_qii, weak_qii
 from .loops import (_unit_axis, bloch_circle, check_fourier_shape, check_polar_angle,
-                    check_polygon, check_seed, fourier_loop, great_circle, load_loop,
-                    random_fourier_spec, save_loop, spherical_polygon,
-                    split_self_intersections)
+                    check_seed, fourier_loop, great_circle, load_loop, random_fourier_spec,
+                    save_loop, spherical_polygon, split_self_intersections)
 from .models import (bloch_table_from_csv, bz_loop, check_fermi_energy, fermi_surface_loop,
                      model_from_json)
 from .search import SearchConfig, minimize_margin
@@ -185,13 +184,16 @@ def _cmd_figure1(args) -> int:
     spherical = []
     for n in args.n_list:
         if n > 2048:
-            continue  # geodesic sampling cost grows linearly; the limit is the circle row
-        loop = spherical_polygon(n, args.theta, args.n_per_edge)
+            # the circle row is the limit of the polygon rows, and the cap
+            # bounds the corner loop's memory for extreme --n-list values
+            continue
+        loop = spherical_polygon(n, args.theta, 1)   # chord sums and fan are exact at the corners
         perim = loop_distance(loop)
         area = bloch_solid_angle(loop) * 0.25  # radius 1/2
         rep = sphere_check(perim, abs(area), 0.5)
         spherical.append([n, perim, abs(area), rep.inputs["quotient"], rep.margin])
-    perim, area = np.pi * np.sin(args.theta), 0.5 * np.pi * (1.0 - np.cos(args.theta))
+    # the smaller cap, as in the polygon rows, whose solid angle lies in (-2 pi, 2 pi]
+    perim, area = np.pi * np.sin(args.theta), 0.5 * np.pi * (1.0 - abs(np.cos(args.theta)))
     circle = sphere_check(perim, area, 0.5)
     spherical.append(["circle", perim, area, circle.inputs["quotient"], circle.margin])
     _write_csv(out / "spherical.csv",
@@ -448,10 +450,10 @@ def build_parser():
                    help="also check the strong QII on split sub-loops")
 
     p = by_name["figure1"] = subs.add_parser(
-        "figure1", help="planar and spherical polygon quotient tables")
+        "figure1", help="planar and spherical polygon quotient tables, "
+                        "the spherical polygons measured at their corners")
     p.add_argument("--theta", type=float, default=np.pi / 4)
     p.add_argument("--n-list", type=_int_list, default=(3, 4, 6, 10000))
-    p.add_argument("--n-per-edge", type=int, default=64)
 
     p = by_name["models"] = subs.add_parser(
         "models", help="Brillouin-zone / Fermi-surface loop summaries")
@@ -560,7 +562,6 @@ def _check_args(args):
             check_seed(args.seed)
         if args.command == "figure1":
             check_polar_angle(args.theta)
-            check_polygon(min(args.n_list), args.n_per_edge)
         if args.command == "apps":   # whether the app reads the flag or not
             check_steps(args.steps)
             check_period_ratio(args.ratio)

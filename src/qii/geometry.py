@@ -10,6 +10,7 @@ of the state projector.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,7 @@ def principal_phase(x: float, guard: float = TOL.branch_guard) -> float:
     return float(y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop:
     """Closed discretized path of pure states.
 
@@ -49,10 +50,11 @@ class Loop:
     normalized and consecutive rows must not be (nearly) orthogonal.
     The stored copy keeps the input's layout for M < 8 (a column-major
     `fourier_states` array stays column-major) and is row-major otherwise.
+    Loops compare and hash by identity, since their arrays cannot.
     """
 
     states: np.ndarray
-    _overlaps: tuple = field(init=False, repr=False, compare=False)   # the gate's pass
+    _overlaps: tuple = field(init=False, repr=False)   # the gate's pass
 
     def __post_init__(self):
         arr = np.asarray(self.states, dtype=complex)
@@ -197,33 +199,22 @@ def bloch_vectors(states: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=1)
 
 
-def _solid_angle_reference(n: np.ndarray) -> np.ndarray:
+def _solid_angle_reference(n: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Pick a triangulation reference far from every loop vertex.
 
     Alignment is measured by 1 - |n.ref| (double precision cannot resolve
-    angular separations through inner products any finer).  Candidates:
-    the north pole, the centroid antipode, the mean normal, then seeded
+    angular separations through inner products any finer).  Candidates: the
+    centroid direction, inside a small or convex loop, so the fan adds small
+    triangles; the mean normal, the sum of the edge cross products `cross`,
+    for loops such as great circles whose centroid vanishes; then seeded
     random directions.
     """
-    def ok(ref):
-        return (1.0 - np.abs(n @ ref).max()) > TOL.pole_align
-
-    candidates = [np.array([0.0, 0.0, 1.0])]
-    centroid = n.mean(axis=0)
-    if np.linalg.norm(centroid) > 1e-6:
-        candidates.append(-centroid / np.linalg.norm(centroid))
-    normal = np.cross(n, np.roll(n, -1, axis=0)).sum(axis=0)
-    if np.linalg.norm(normal) > 1e-6:
-        candidates.append(normal / np.linalg.norm(normal))
-    for ref in candidates:
-        if ok(ref):
-            return ref
     rng = np.random.default_rng(20240718)
-    for _ in range(128):
-        ref = rng.normal(size=3)
-        ref /= np.linalg.norm(ref)
-        if ok(ref):
-            return ref
+    for v in chain((n.mean(axis=0), cross.sum(axis=0)),
+                   (rng.normal(size=3) for _ in range(128))):
+        norm = np.linalg.norm(v)
+        if norm > 1e-6 and (1.0 - np.abs(n @ (v / norm)).max()) > TOL.pole_align:
+            return v / norm
     raise PoleDegenerate("no usable reference direction found")
 
 
@@ -232,24 +223,23 @@ def bloch_solid_angle(loop: Loop) -> float:
 
     Triangulates the loop from a reference point and sums the signed
     spherical excesses (van Oosterom-Strackee), then reduces mod 4*pi
-    into (-2*pi, 2*pi] -- the smaller of the two possible solid angles.
+    into (-2*pi, 2*pi] -- the smaller of the two possible solid angles --
+    by `principal_phase` of the half angle.
     Positive for counterclockwise circulation seen from outside the
     enclosed cap.  Serves as the independent oracle for |gamma_B| = Omega/2.
     """
     if loop.dim != 2:
         raise WrongDimension(f"Bloch sphere requires dimension 2, got {loop.dim}")
     n = bloch_vectors(loop.states)
-    ref = _solid_angle_reference(n)
     nxt = np.roll(n, -1, axis=0)
-    num = np.einsum("i,ji->j", ref, np.cross(n, nxt))
+    cross = np.cross(n, nxt)
+    ref = _solid_angle_reference(n, cross)
+    num = cross @ ref
     den = 1.0 + n @ ref + np.einsum("ij,ij->i", n, nxt) + nxt @ ref
-    total = 2.0 * np.arctan2(num, den).sum()
-    reduced = total % (4.0 * np.pi)
-    if reduced > 2.0 * np.pi:
-        reduced -= 4.0 * np.pi
-    if reduced <= -2.0 * np.pi + 2.0 * TOL.branch_guard:
-        reduced = 2.0 * np.pi
-    return float(reduced)
+    half = float(np.arctan2(num, den).sum())
+    # a half angle already in range skips principal_phase, whose shift by pi
+    # would round a small one to the spacing of doubles near pi
+    return 2.0 * (half if -np.pi + TOL.branch_guard < half <= np.pi else principal_phase(half))
 
 
 def summarize(loop: Loop) -> LoopSummary:
@@ -303,7 +293,7 @@ class Chart:
             raise OutOfRange("finite-difference step must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QGTensor:
     """Quantum geometric tensor chi = g - (i/2) F at one chart point.
 

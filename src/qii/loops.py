@@ -132,7 +132,7 @@ def check_seed(seed: int):
         raise OutOfRange(f"seed must be a non-negative integer, got {seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierLoopSpec:
     """Loop z_i(t) = sum_m c_{i,m} e^{i m t} in the (1, z) chart of CP^{M-1}.
 

@@ -66,7 +66,7 @@ class SearchConfig:
                 "coeff_bound": self.coeff_bound}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     best_margin: float
     best_spec: FourierLoopSpec

@@ -15,8 +15,9 @@ from qii.errors import (BadResolution, DimensionMismatch, OutOfRange,
                         WrongDimension, ZeroVector)
 from qii.geometry import Chart, Loop, _as_cvector, projector, qgt_at
 from qii.inequalities import plane_check, sphere_check
-from qii.loops import bloch_circle, perturb_circle, refine
+from qii.loops import bloch_circle, perturb_circle, random_fourier_spec, refine
 from qii.models import ModelSpec, bloch_table
+from qii.search import SearchResult
 
 PACKAGE = Path(qii.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -67,6 +68,18 @@ def test_applications_binds_no_band_geometry_private():
     private = {"_gated_bloch", "_spinors", "_metric", "_BAND_INDEX", "_scalars"}
     assert private & set(vars(applications)) == set()
     assert "._overlaps" not in (PACKAGE / "applications.py").read_text(encoding="utf-8")
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # generated == and hash would compare and hash the ndarray fields, and raise
+    loop = bloch_circle(1.0, 16)
+    spec = random_fourier_spec(3, 2, 64, 0)
+    three = np.zeros(3)
+    records = [loop, spec, qgt_at(Chart(_circle_map, 2), [0.3, 0.2]),
+               applications.Trajectory(three, np.zeros((3, 2)), three, three),
+               SearchResult(0.0, spec, 1, (), "completed", False, 0.0)]
+    assert loop == loop and loop != Loop(loop.states)
+    assert len(set(records)) == len(records)
 
 
 def test_no_test_ignores_a_warning():

@@ -126,7 +126,11 @@ def test_verify_reproducible(tmp_path):
      "1eb4ef5a3ac79f2cb1fa36af26fe571c9a2bd28fc1d3fb1d1424767dd2ec2559"),
     ("models.csv", ["models", "--model", "rhombohedral", "--layers", "3"],
      "76a507a552d856bbe99c0431edc58193096651548b4917fe3d7b1279ac91c98d"),
-], ids=["verify", "models"])
+    ("spherical.csv", ["figure1"],
+     "00e29c4b81a53378881f550b858290f8764612b00f96f730274b74fce3d80e62"),
+    ("planar.csv", ["figure1"],
+     "2a646de7fd0ce0bc5de00d3cfd92382c32889ce33d32b9f3ec8dce7c0ea4a7f4"),
+], ids=["verify", "models", "figure1-spherical", "figure1-planar"])
 def test_output_bytes_pinned(tmp_path, name, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -194,8 +198,7 @@ def test_bad_qii_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, threads
 
 def test_figure1_tables(tmp_path):
     out = tmp_path / "fig"
-    code = main(["figure1", "--n-list", "3,4,6,10000", "--n-per-edge", "16",
-                 "--out", str(out)])
+    code = main(["figure1", "--n-list", "3,4,6,10000", "--out", str(out)])
     assert code == 0
     rows = _read_csv(out / "planar.csv")
     quotients = {int(r[0]): float(r[3]) for r in rows[1:]}
@@ -211,11 +214,19 @@ def test_figure1_tables(tmp_path):
 
 def test_figure1_spherical_quotient_decreases(tmp_path):
     out = tmp_path / "fig"
-    main(["figure1", "--n-list", "3,8,64", "--n-per-edge", "64", "--out", str(out)])
+    main(["figure1", "--n-list", "3,8,64", "--out", str(out)])
     rows = _read_csv(out / "spherical.csv")
     qs = [float(r[3]) for r in rows[1:-1]]
     assert qs[0] > qs[1] > qs[2] > 1.0
     assert qs[2] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_figure1_circle_row_is_the_limit_of_the_polygon_rows(tmp_path):
+    # past the equator the polygons enclose the smaller, south-polar cap
+    out = tmp_path / "fig"
+    assert main(["figure1", "--theta", "3.1", "--n-list", "3,1000", "--out", str(out)]) == 0
+    rows = {r[0]: r for r in _read_csv(out / "spherical.csv")[1:]}
+    assert float(rows["circle"][2]) == pytest.approx(float(rows["1000"][2]), rel=1e-5)
 
 
 # --- models ---
@@ -762,7 +773,7 @@ def test_bad_fermi_energy_exits_2_with_one_error_line(tmp_path, capsys, command,
     ["apps", "--app", "sfweight", "--nu", "0"],
     ["figure1", "--theta", "0"],
     ["figure1", "--theta", "4"],
-    ["figure1", "--n-per-edge", "0"],
+    ["figure1", "--n-per-edge", "64"],   # the corner polygons take no such flag
     ["loop-io", "export", "bc.csv", "--generator", "bloch-circle", "--theta", "0"],
     ["loop-io", "export", "bc.csv", "--generator", "bloch-circle", "--n", "2"],
     ["loop-io", "export", "gc.csv", "--generator", "great-circle", "--n", "2"],
@@ -845,6 +856,7 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text):
     (["loop-io", "export", "x.csv"], {"file": "x"}),
     (["verify", "--m", "2"], {"out": None}),   # null only where the default is None
     (["verify", "--m", "2"], {"strong": 1}),
+    (["figure1"], {"n_per_edge": 64}),   # the corner polygons take no such flag
 ])
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys, command, config):
     # config values pass the choices and types their flags do

@@ -12,7 +12,7 @@ from qii.geometry import (Chart, Loop, _scalars, bloch_solid_angle, bloch_vector
                           loop_berry_phase, loop_distance, normalize, principal_phase,
                           projector, qgt_at, segment_distance, summarize)
 from qii.loops import (bloch_circle, bloch_states, fourier_loop, fourier_states,
-                       great_circle, random_fourier_spec)
+                       great_circle, random_fourier_spec, spherical_polygon)
 
 
 def _constant_loop(n=16, m=2):
@@ -200,10 +200,24 @@ def test_solid_angle_wrong_dimension():
 
 
 def test_solid_angle_reference_moved_off_loop():
-    # this great circle passes through both poles; the default reference
-    # must be abandoned without changing the (signed) area
+    # this great circle passes through both poles and its centroid vanishes;
+    # the mean normal takes over without changing the (signed) area
     loop = great_circle([1.0, 0.0, 0.0], 1024)
     assert abs(bloch_solid_angle(loop)) == pytest.approx(2 * np.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta, rel", [(1e-3, 1e-13), (0.05, 1e-13), (np.pi / 4, 1e-13),
+                                        (2.0, 1e-13), (3.1, 1e-13), (np.pi - 1e-3, 1e-12)])
+@pytest.mark.parametrize("n", [3, 64, 1000])
+def test_solid_angle_of_a_corner_polygon_is_the_closed_form(theta, rel, n):
+    # the regular n-gon of circumradius rho encloses
+    # 2n atan(t sin c / (1 + t cos c)), t = tan^2(rho / 2), c = 2 pi / n,
+    # whichever pole it sits around; at theta = pi - 1e-3 the closed form's
+    # own rho = pi - theta is 2.4e-13 off in relative area
+    t, c = np.tan(min(theta, np.pi - theta) / 2) ** 2, 2 * np.pi / n
+    omega = 2 * n * np.arctan(t * np.sin(c) / (1 + t * np.cos(c)))
+    loop = spherical_polygon(n, theta, 1)
+    assert abs(bloch_solid_angle(loop)) == pytest.approx(omega, rel=rel, abs=0.0)
 
 
 def test_solid_angle_halves_berry_phase_random():
