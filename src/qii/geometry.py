@@ -28,17 +28,18 @@ from .errors import (DimensionMismatch, IllConditionedSegment, NonFiniteDerivati
 _COLUMN_MAJOR_BELOW = 8
 
 
-def principal_phase(x: float, guard: float = TOL.branch_guard) -> float:
-    """Reduce a phase to (-pi, pi], resolving the branch edge to +pi.
+def principal_phase(x: float) -> float:
+    """Reduce a phase to (-pi, pi], keeping a phase already in range as it is.
 
-    Values within `guard` of -pi are reported as +pi: at the branch point
-    the two signs label the same phase mod 2*pi and the printed convention
-    picks +pi.
+    Shifting by pi would round a small phase to the spacing of doubles near
+    pi.  Values within TOL.branch_guard of -pi are reported as +pi: the two
+    signs label the same phase mod 2*pi and the printed convention picks +pi.
     """
-    y = (x + np.pi) % (2.0 * np.pi) - np.pi
-    if y <= -np.pi + guard:
-        return np.pi
-    return float(y)
+    if not -np.pi + TOL.branch_guard < x <= np.pi:
+        x = (x + np.pi) % (2.0 * np.pi) - np.pi
+        if x <= -np.pi + TOL.branch_guard:
+            return np.pi
+    return float(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +237,7 @@ def bloch_solid_angle(loop: Loop) -> float:
     ref = _solid_angle_reference(n, cross)
     num = cross @ ref
     den = 1.0 + n @ ref + np.einsum("ij,ij->i", n, nxt) + nxt @ ref
-    half = float(np.arctan2(num, den).sum())
-    # a half angle already in range skips principal_phase, whose shift by pi
-    # would round a small one to the spacing of doubles near pi
-    return 2.0 * (half if -np.pi + TOL.branch_guard < half <= np.pi else principal_phase(half))
+    return 2.0 * principal_phase(float(np.arctan2(num, den).sum()))
 
 
 def summarize(loop: Loop) -> LoopSummary:
@@ -253,7 +251,7 @@ def summarize(loop: Loop) -> LoopSummary:
         half = loop.states[::2]
         try:
             d_half, g_half = _scalars(half)
-            est = max(abs(d - d_half), abs(principal_phase(g - g_half, guard=0.0)))
+            est = max(abs(d - d_half), abs(principal_phase(g - g_half)))
         except IllConditionedSegment:
             # subsampling can join nearly orthogonal states on wild loops
             est = abs(d - _distance(half))

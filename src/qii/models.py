@@ -38,9 +38,9 @@ def check_band(band: str):
         raise OutOfRange(f"band must be 'lower' or 'upper', got {band!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A named two-band Bloch-Hamiltonian family with parameters."""
+    """A named two-band Bloch-Hamiltonian family; compares and hashes by identity."""
 
     kind: str
     params: dict = field(default_factory=dict)

@@ -190,7 +190,7 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
         best_margin=margin_at_n, best_spec=best_spec, evals=evals, history=tuple(history),
         status="budget_exhausted" if evals >= cfg.budget else "completed",
         violation=margin_at_n < 0.0 and any(
-            strong_qii(summarize(part), conjecture=cfg.m_dim > 2).violated
+            strong_qii(summarize(part)).violated
             for part in split_self_intersections(fourier_loop(best_spec))),
         margin_at_n=margin_at_n)
 
@@ -212,7 +212,7 @@ def extremality_scan(theta: float, modes, eps_grid, n: int = 8192) -> dict:
         deltas = []
         for eps in eps_grid:
             gamma = loop_berry_phase(perturb_circle(theta, eps, mode, n))
-            deltas.append(abs(principal_phase(gamma - gamma0, guard=0.0)))
+            deltas.append(abs(principal_phase(gamma - gamma0)))
         kept = [(e, d) for e, d in zip(eps_grid, deltas) if d > 0.0]
         if len(kept) < 2:
             raise OutOfRange(f"mode {mode}: fewer than two eps values move the phase")

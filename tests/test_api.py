@@ -16,7 +16,7 @@ from qii.errors import (BadResolution, DimensionMismatch, OutOfRange,
 from qii.geometry import Chart, Loop, _as_cvector, projector, qgt_at
 from qii.inequalities import plane_check, sphere_check
 from qii.loops import bloch_circle, perturb_circle, random_fourier_spec, refine
-from qii.models import ModelSpec, bloch_table
+from qii.models import ModelSpec, bloch_table, fourier_bloch, ssh
 from qii.search import SearchResult
 
 PACKAGE = Path(qii.__file__).parent
@@ -77,7 +77,9 @@ def test_array_holding_records_compare_and_hash_by_identity():
     three = np.zeros(3)
     records = [loop, spec, qgt_at(Chart(_circle_map, 2), [0.3, 0.2]),
                applications.Trajectory(three, np.zeros((3, 2)), three, three),
-               SearchResult(0.0, spec, 1, (), "completed", False, 0.0)]
+               SearchResult(0.0, spec, 1, (), "completed", False, 0.0),
+               fourier_bloch([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
+               ssh(0.5, 1.0)]
     assert loop == loop and loop != Loop(loop.states)
     assert len(set(records)) == len(records)
 
@@ -90,6 +92,23 @@ def test_no_test_ignores_a_warning():
               for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
               if ignoring.search(line)]
     assert masked == []
+
+
+def test_one_branch_rule():
+    # geometry.principal_phase owns the reduction to (-pi, pi]; a second copy
+    # in bloch_solid_angle once kept small phases that the first one rounded
+    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+    owner = next(node for node in tree.body if getattr(node, "name", "") == "principal_phase")
+    reducing = [(path.name, i) for path in MODULES
+                for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if "% (2.0 * np.pi)" in line]
+    assert reducing and all(name == "geometry.py" and owner.lineno <= i <= owner.end_lineno
+                            for name, i in reducing)
+    knob = re.compile(r"\bguard\s*=")
+    passing = [f"{path.name}:{i}" for path in MODULES + TESTS
+               for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if knob.search(line)]
+    assert passing == []
 
 
 def _circle_map(lam):

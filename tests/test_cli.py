@@ -123,7 +123,7 @@ def test_verify_reproducible(tmp_path):
 @pytest.mark.parametrize("name, argv, digest", [
     ("margins.csv", ["verify", "--strong", "--m", "2", "--loops", "20", "--n", "256",
                      "--seed", "0"],
-     "1eb4ef5a3ac79f2cb1fa36af26fe571c9a2bd28fc1d3fb1d1424767dd2ec2559"),
+     "1eae160754d887c0566112e15e0fc5dc8213901a5653c2fc9ff3471dd8b714a6"),
     ("models.csv", ["models", "--model", "rhombohedral", "--layers", "3"],
      "76a507a552d856bbe99c0431edc58193096651548b4917fe3d7b1279ac91c98d"),
     ("spherical.csv", ["figure1"],

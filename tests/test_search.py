@@ -277,7 +277,7 @@ _PINNED = {
     1: (0.0023117783091564093, 51,
         "b6c88c1963433812a44d66edd4895a508c0b69db017b8913faf238f8a81e33df"),
     2: (0.011207190316222082, 52,
-        "77069b695f5b165eb4612ee319b7aaa3dd5e055b46238044d9e80744aa3e9581"),
+        "2a84f3311f0822d2abd3e3b504e1757b37c2104654a0eab105823775ed0901e5"),
 }
 
 
