@@ -170,16 +170,23 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- figure1
 
+def _sphere_row(label, perim, area):
+    """A spherical.csv row.  Within about 1e-154 of a pole the right side
+    4 pi A - A^2 / R^2 is subnormal or 0, and its quotient has lost digits."""
+    rep = sphere_check(perim, area, 0.5)
+    if rep.rhs < np.finfo(float).tiny:
+        raise _UsageError(f"--theta is too close to a pole: the area of spherical row "
+                          f"{label} underflows")
+    return [label, perim, area, rep.inputs["quotient"], rep.margin]
+
+
 def _cmd_figure1(args) -> int:
-    out = _prepare_outdir(args, "figure1")
     planar = []
     for n in args.n_list:
         perim = 2.0 * n * np.sin(np.pi / n)
         area = 0.5 * n * np.sin(2.0 * np.pi / n)
         rep = plane_check(perim, area)
         planar.append([n, perim, area, rep.inputs["quotient"], rep.margin])
-    _write_csv(out / "planar.csv",
-               ["n_sides", "perimeter", "area", "quotient", "margin"], planar)
 
     spherical = []
     for n in args.n_list:
@@ -188,16 +195,16 @@ def _cmd_figure1(args) -> int:
             # bounds the corner loop's memory for extreme --n-list values
             continue
         loop = spherical_polygon(n, args.theta, 1)   # chord sums and fan are exact at the corners
-        perim = loop_distance(loop)
-        area = bloch_solid_angle(loop) * 0.25  # radius 1/2
-        rep = sphere_check(perim, abs(area), 0.5)
-        spherical.append([n, perim, abs(area), rep.inputs["quotient"], rep.margin])
-    # the smaller cap, as in the polygon rows, whose solid angle lies in (-2 pi, 2 pi]
-    perim, area = np.pi * np.sin(args.theta), 0.5 * np.pi * (1.0 - abs(np.cos(args.theta)))
-    circle = sphere_check(perim, area, 0.5)
-    spherical.append(["circle", perim, area, circle.inputs["quotient"], circle.margin])
-    _write_csv(out / "spherical.csv",
-               ["n_sides", "perimeter", "area", "quotient", "margin"], spherical)
+        spherical.append(_sphere_row(n, loop_distance(loop),
+                                     abs(bloch_solid_angle(loop)) * 0.25))   # radius 1/2
+    # the smaller cap, as in the polygon rows, whose solid angle lies in (-2 pi, 2 pi];
+    # pi s^2 as a product keeps every digit near either pole, where 1 - |cos| cancels
+    s = min(np.sin(args.theta / 2.0), np.cos(args.theta / 2.0))
+    spherical.append(_sphere_row("circle", np.pi * np.sin(args.theta), np.pi * s * s))
+    out = _prepare_outdir(args, "figure1")
+    header = ["n_sides", "perimeter", "area", "quotient", "margin"]
+    _write_csv(out / "planar.csv", header, planar)
+    _write_csv(out / "spherical.csv", header, spherical)
 
     series = {"planar": ([r[0] for r in planar], [r[3] for r in planar])}
     sph_numeric = [r for r in spherical if isinstance(r[0], int)]
@@ -588,7 +595,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except (QiiError, ValueError, OSError) as exc:
+    except (QiiError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ class Tolerances:
     segment_overlap: float = 1e-9  # consecutive loop states must overlap above this
     split: float = 1e-7            # projective coincidence threshold when splitting
     fd_step: float = 1e-4          # central-difference step for the geometric tensor
-    pole_align: float = 1e-9       # 1 - |n.ref| below this moves the solid-angle ref
+    pole_align: float = 1e-9       # 1 + n.ref below this (an antipode) moves the solid-angle ref
     branch_guard: float = 1e-9     # principal_phase reports phases this close to -pi as +pi
     saturation_floor: float = 1e-6 # minimum saturation tolerance in reports
     norm_drift: float = 1e-6       # max integrator norm drift per step

@@ -20,14 +20,6 @@ from .errors import (DimensionMismatch, IllConditionedSegment, NonFiniteDerivati
                      OutOfRange, PoleDegenerate, WrongDimension, ZeroVector)
 
 
-# np.add.reduce sums a contiguous run of 8 or more numbers pairwise and a
-# shorter run left to right, while it sums across the columns of a
-# column-major array left to right at any width.  Below this width, row
-# norms are therefore the same bit for bit in either layout, and only such
-# states are kept column-major.
-_COLUMN_MAJOR_BELOW = 8
-
-
 def principal_phase(x: float) -> float:
     """Reduce a phase to (-pi, pi], keeping a phase already in range as it is.
 
@@ -49,8 +41,9 @@ class Loop:
     states has shape (n, M) with n >= 3; the sequence is cyclic, the
     closing segment being states[n-1] -> states[0].  Rows must be
     normalized and consecutive rows must not be (nearly) orthogonal.
-    The stored copy keeps the input's layout for M < 8 (a column-major
-    `fourier_states` array stays column-major) and is row-major otherwise.
+    The stored copy is column-major and read-only, whatever the input's
+    layout: a per-row sum then adds the M columns left to right at every
+    width, so a loop's bits do not depend on how its states were laid out.
     Loops compare and hash by identity, since their arrays cannot.
     """
 
@@ -58,24 +51,23 @@ class Loop:
     _overlaps: tuple = field(init=False, repr=False)   # the gate's pass
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=complex)
+        arr = np.array(self.states, dtype=complex, order="F")   # checked as stored
         if arr.ndim != 2:
             raise WrongDimension(f"loop states must be 2-D, got shape {arr.shape}")
         _check_size(arr)
         if not (np.abs(_row_norms(arr) - 1.0) <= TOL.norm).all():   # nan rows fail too
             raise ZeroVector("loop states must be normalized")
         overlaps = _gated_pass(arr)
-        arr = arr.copy(order="K" if arr.shape[1] < _COLUMN_MAJOR_BELOW else "C")
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "_overlaps", overlaps)
 
     @classmethod
     def _of_unit_rows(cls, states: np.ndarray) -> "Loop":
-        """The loop of a fresh (n, M) complex array whose rows are unit by
-        construction (the band spinors): the size rule and the segment gate
-        run, the row-norm check and the copy do not, and the array is made
-        read-only in place, so no caller may keep writing to it."""
+        """The loop of a fresh column-major (n, M) complex array whose rows
+        are unit by construction (the band spinors): the size rule and the
+        segment gate run, the row-norm check and the copy do not, and the
+        array is made read-only in place, so no caller may keep writing to it."""
         _check_size(states)
         overlaps = _gated_pass(states)
         states.setflags(write=False)
@@ -201,12 +193,15 @@ def bloch_vectors(states: np.ndarray) -> np.ndarray:
 
 
 def _solid_angle_reference(n: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Pick a triangulation reference far from every loop vertex.
+    """Pick a triangulation reference far from the antipode of every loop vertex.
 
-    Alignment is measured by 1 - |n.ref| (double precision cannot resolve
-    angular separations through inner products any finer).  Candidates: the
-    centroid direction, inside a small or convex loop, so the fan adds small
-    triangles; the mean normal, the sum of the edge cross products `cross`,
+    Only an antipode breaks a van Oosterom-Strackee triangle, whose
+    numerator and denominator both vanish there; a reference on a vertex
+    adds triangles of zero area.  Nearness to an antipode is measured by
+    1 + n.ref (double precision cannot resolve angular separations through
+    inner products any finer).  Candidates: the centroid direction, inside
+    a small or convex loop, so the fan adds small triangles however small
+    the loop; the mean normal, the sum of the edge cross products `cross`,
     for loops such as great circles whose centroid vanishes; then seeded
     random directions.
     """
@@ -214,7 +209,7 @@ def _solid_angle_reference(n: np.ndarray, cross: np.ndarray) -> np.ndarray:
     for v in chain((n.mean(axis=0), cross.sum(axis=0)),
                    (rng.normal(size=3) for _ in range(128))):
         norm = np.linalg.norm(v)
-        if norm > 1e-6 and (1.0 - np.abs(n @ (v / norm)).max()) > TOL.pole_align:
+        if norm > 1e-6 and 1.0 + (n @ (v / norm)).min() > TOL.pole_align:
             return v / norm
     raise PoleDegenerate("no usable reference direction found")
 
@@ -232,7 +227,7 @@ def bloch_solid_angle(loop: Loop) -> float:
     if loop.dim != 2:
         raise WrongDimension(f"Bloch sphere requires dimension 2, got {loop.dim}")
     n = bloch_vectors(loop.states)
-    nxt = np.roll(n, -1, axis=0)
+    nxt = np.concatenate((n[1:], n[:1]))
     cross = np.cross(n, nxt)
     ref = _solid_angle_reference(n, cross)
     num = cross @ ref

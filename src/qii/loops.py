@@ -15,7 +15,7 @@ from .config import TOL
 from .errors import (BadResolution, DegenerateSpec, EmptyInput,
                      IllConditionedSegment, OutOfRange, WrongDimension,
                      ZeroVector, file_errors)
-from .geometry import _COLUMN_MAJOR_BELOW, Loop, _chord_angles, _row_norms
+from .geometry import Loop, _chord_angles, _row_norms
 
 __all__ = [
     "FourierLoopSpec", "min_resolution", "check_fourier_shape", "bloch_circle", "bloch_states",
@@ -168,17 +168,11 @@ def _fourier_basis(n: int, k: int) -> np.ndarray:
 def fourier_states(coeffs: np.ndarray, n: int) -> np.ndarray:
     """The n normalized samples (1, z(t_j)) / |(1, z(t_j))|, t_j = 2 pi j / n, of the
     loop with (M - 1, 2k + 1) coefficient array `coeffs` (harmonics -k .. k, as in
-    `FourierLoopSpec`), as an (n, M) array; M and k come from the shape.
-
-    For M < 8 the array is column-major (Fortran order): a row norm then
-    adds M columns of n amplitudes instead of reducing each short row on
-    its own, about three times as fast at M = 3 and n = 2048.  The values
-    are the same bit for bit as in the row-major layout, which wider
-    states keep (`geometry._COLUMN_MAJOR_BELOW`).
+    `FourierLoopSpec`), as a column-major (n, M) array, the layout of `Loop`;
+    M and k come from the shape.
     """
     m_dim = coeffs.shape[0] + 1
-    states = np.empty((n, m_dim), dtype=complex,
-                      order="F" if m_dim < _COLUMN_MAJOR_BELOW else "C")
+    states = np.empty((n, m_dim), dtype=complex, order="F")
     states[:, 0] = 1.0
     states[:, 1:] = _fourier_basis(n, coeffs.shape[1] // 2) @ coeffs.T
     states /= _row_norms(states)[:, None]
@@ -376,7 +370,8 @@ def _split_states(states: np.ndarray, tol: float, out: list):
     and sees the global pairs of its members under its own adjacency and
     size rules.  Pairs ahead of a chosen pair stay unusable in both pieces,
     so the remainder resumes at the cut's end row and the cut piece scans
-    only the rows [j, k) after the chosen pair.
+    only the rows [j, k) after the chosen pair.  Parts are column-major,
+    the layout of `Loop`, where indexing the rows would make them row-major.
     """
     n = states.shape[0]
     pairs = _coincidence_pairs(states, tol)
@@ -390,7 +385,7 @@ def _split_states(states: np.ndarray, tol: float, out: list):
         members, lo, hi = stack.pop()
         hit = _first_split(members, rows, cols, lo, hi)
         if hit is None:
-            out.append(states if members.size == n else states[members])
+            out.append(states if members.size == n else states.T.take(members, axis=1).T)
             continue
         at, j, k = hit
         mid = int(np.searchsorted(rows, members[k], side="left"))

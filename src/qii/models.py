@@ -323,7 +323,7 @@ def _spinors(n, r, rho, band: str) -> np.ndarray:
         phase[sub] = (xs + 1j * ys) / np.hypot(xs, ys)
     a, b = (sin, -cos) if band == "lower" else (cos, sin)   # state (a, e^{ip} b)
     lead = a > TOL.gauge_zero   # else the second entry is made real positive
-    states = np.empty((len(r), 2), dtype=complex)
+    states = np.empty((len(r), 2), dtype=complex, order="F")
     if lead.all():
         states[:, 0] = a
         states[:, 1] = phase * b

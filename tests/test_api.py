@@ -111,6 +111,22 @@ def test_one_branch_rule():
     assert passing == []
 
 
+def test_one_memory_layout():
+    # loop states are column-major at every width: a layout chosen by width
+    # once made geometry and loops share numpy's pairwise-summation cutoff.
+    # The overlap pass makes successor rows by one slice concatenation.
+    calls = [(path.name, node) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    orders = [f"{name}:{node.lineno}" for name, node in calls for kw in node.keywords
+              if kw.arg == "order" and not (isinstance(kw.value, ast.Constant)
+                                            and kw.value.value == "F")]
+    rolls = [f"{name}:{node.lineno}" for name, node in calls
+             if isinstance(node.func, ast.Attribute) and node.func.attr == "roll"]
+    assert orders == [] and rolls == []
+    assert any(kw.arg == "order" for _, node in calls for kw in node.keywords)
+
+
 def _circle_map(lam):
     return np.array([np.cos(lam[0] / 2), np.sin(lam[0] / 2) * np.exp(1j * lam[1])])
 

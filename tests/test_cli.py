@@ -229,6 +229,39 @@ def test_figure1_circle_row_is_the_limit_of_the_polygon_rows(tmp_path):
     assert float(rows["circle"][2]) == pytest.approx(float(rows["1000"][2]), rel=1e-5)
 
 
+@pytest.mark.parametrize("theta", ["2e-8", "1e-8", "1e-12"])
+def test_figure1_near_the_north_pole(tmp_path, theta):
+    # the circle's cap area pi min(sin, cos)^2 (theta / 2) keeps its digits
+    # where 1 - |cos theta| cancels, and so do the polygons' corner fans
+    out = tmp_path / "fig"
+    assert main(["figure1", "--theta", theta, "--out", str(out)]) == 0
+    rows = _read_csv(out / "spherical.csv")[1:]
+    assert rows[-1][0] == "circle"
+    assert all(float(r[3]) >= 1 - 1e-12 for r in rows)
+
+
+def test_figure1_refuses_an_area_that_underflows(tmp_path, capsys):
+    assert main(["figure1", "--theta", "1e-300", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --theta is too close to a pole")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["verify", "--m", "3", "--loops", "1"], "run_weak_suite"),
+    (["loop-io", "export", "c.csv", "--generator", "bloch-circle"], "bloch_circle"),
+])
+def test_exhausted_memory_is_one_error_line(tmp_path, capsys, monkeypatch, argv, where):
+    # a huge --n ends in numpy's MemoryError subclass; raised here instead of
+    # asking for terabytes, which an overcommitting kernel may grant
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. TiB")
+    monkeypatch.setattr(cli, where, exhausted)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 149. TiB\n"
+
+
 # --- models ---
 
 def test_models_ssh_topological(tmp_path):

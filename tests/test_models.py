@@ -395,7 +395,7 @@ def test_band_geometry_loop_equals_the_checked_loop(spec, band):
     checked = Loop(band_states(spec, ks, band))
     assert loop.states.shape == checked.states.shape
     assert loop.states.tobytes(order="A") == checked.states.tobytes(order="A")
-    assert loop.states.flags.c_contiguous and checked.states.flags.c_contiguous
+    assert loop.states.flags.f_contiguous and checked.states.flags.f_contiguous
     assert loop_distance(loop) == loop_distance(checked)
     assert loop_berry_phase(loop) == loop_berry_phase(checked)
     assert not loop.states.flags.writeable

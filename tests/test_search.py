@@ -7,7 +7,7 @@ from oracles import list_nelder_mead
 from qii import geometry, search
 from qii.config import TOL
 from qii.errors import BadResolution, DegenerateSpec, OutOfRange
-from qii.geometry import summarize
+from qii.geometry import Loop, summarize
 from qii.inequalities import strong_qii
 from qii.loops import (FourierLoopSpec, _split_states, fourier_loop, fourier_states,
                        random_fourier_spec, split_self_intersections)
@@ -78,6 +78,21 @@ def test_objective_is_the_least_subloop_report_margin(m, n):
         want = min(strong_qii(summarize(p)).margin for p in parts)
         assert qii_objective(spec) == want
     assert split >= 2
+
+
+@pytest.mark.parametrize("m", [3, 8, 10])
+def test_margin_of_states_is_the_least_subloop_report_margin_at_every_width(m):
+    # the objective splits the column-major states it sampled, verify the
+    # Loop it copied them into: one layout, so one set of bits at any width
+    split = 0
+    for seed in range(4):
+        spec = random_fourier_spec(m, 2, 128, seed)
+        states = np.concatenate([fourier_states(spec.coeffs, spec.n)] * 2)
+        parts = split_self_intersections(Loop(states))
+        split += len(parts) > 1
+        want = min(strong_qii(summarize(p)).margin for p in parts)
+        assert search._margin(states) == want
+    assert split == 4
 
 
 def test_objective_and_summarize_skip_the_norm_and_angle_wrappers(monkeypatch):
